@@ -1,27 +1,28 @@
 """Gcd of the per-prime GL orders over all primes distinct from p.
 
+The candidate primes are the q <= d + 1: a primitive root mod a larger q
+has order q - 1 > d, and each smaller q divides every order.  Valuations
+come from small integers by lifting the exponent (LTE): with e the order
+of ell mod q, v_q(ell^i - 1) = v_q(ell^e - 1) + v_q(i/e) when e | i.
+
 The gcd runs over an infinite index set, so a finite scan alone proves
-nothing.  The scan therefore carries a certificate: for every odd prime q
-surviving the gcd, the minimal q-valuation of a per-prime order over all
-primes ell is attained whenever ell is a primitive root modulo q^2 (by
-lifting the exponent, v_q(ell^i - 1) = v_q(ell^e - 1) + v_q(i/e) where e
-is the order of ell mod q, and a primitive root mod q^2 makes both terms
-minimal).  For q = 2 the valuation depends only on ell mod 8, so covering
-all four odd residue classes mod 8 certifies the minimum.  A scan whose
-witnesses satisfy these conditions has provably reached the infinite gcd.
+nothing.  The scan therefore carries a certificate: for every odd
+candidate q the minimal valuation over all primes ell is attained
+whenever ell is a primitive root modulo q^2, which makes e maximal and
+v_q(ell^e - 1) = 1.  For q = 2 the valuation depends only on ell mod 8,
+so covering all four odd residue classes mod 8 certifies the minimum.  A
+scan whose witnesses satisfy these conditions has provably reached the
+infinite gcd.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Tuple
 
-from .errors import UnstableCertificateError
-from .group_orders import c_ell_d_int
+from .errors import InvariantViolationError, UnstableCertificateError
 from .numtheory import (
-    FACTORED_ONE,
     FactoredInt,
     PrimeIter,
     factorize,
@@ -50,61 +51,83 @@ class ScanCertificate:
     stable: bool
 
 
-def _multiplicative_order(a: int, modulus: int) -> int:
-    group_order = 1
-    for r, e in factorize(modulus).items():
-        group_order *= r ** (e - 1) * (r - 1)
-    order = group_order
-    for r in factorize(group_order):
-        while order % r == 0 and pow(a, order // r, modulus) == 1:
+def _order_mod(a: int, q: int) -> int:
+    """Multiplicative order of a modulo the prime q, for a prime to q."""
+    order = q - 1
+    for r in factorize(q - 1):
+        while order % r == 0 and pow(a, order // r, q) == 1:
             order //= r
     return order
 
 
 def _is_primitive_root_mod_q2(ell: int, q: int) -> bool:
-    if ell % q == 0:
-        return False
-    return _multiplicative_order(ell, q * q) == q * (q - 1)
+    # a primitive root mod q is one mod q^2 unless ell^(q-1) = 1 mod q^2
+    return ell != q and _order_mod(ell, q) == q - 1 and pow(ell, q - 1, q * q) != 1
 
 
-@lru_cache(maxsize=None)
-def _c_d_cached(d: int, p: Optional[int], scan_depth: int):
+def _v_factorial(k: int, q: int) -> int:
+    # Legendre's formula
+    v = 0
+    while k:
+        k //= q
+        v += k
+    return v
+
+
+def _order_valuation(ell: int, q: int, d: int) -> int:
+    """v_q of the per-prime constant of dimension d at the prime ell."""
+    if ell == q:
+        # every ell^i - 1 is prime to q; over Z/4Z the kernel adds 2^(d^2)
+        return d * (d - 1) // 2 + (d * d if q == 2 else 0)
+    if q == 2:
+        h = d // 2
+        return ((d - h) * valuation(ell - 1, 2) + h * valuation(ell * ell - 1, 2)
+                + _v_factorial(h, 2))
+    e = _order_mod(ell, q)
+    k = d // e
+    v = 1  # v_q(ell^e - 1), read modulo growing powers of q
+    while pow(ell, e, q ** (v + 1)) == 1:
+        v += 1
+    return k * v + _v_factorial(k, q)
+
+
+def c_d(d: int, p: Optional[int] = None,
+        scan_depth: int = DEFAULT_SCAN_DEPTH) -> Tuple[FactoredInt, ScanCertificate]:
+    """Gcd of the per-prime constants over the first scan_depth primes != p.
+
+    Candidates are the primes q <= d + 1, valuations come from LTE.  When
+    the returned certificate is stable the value equals the true gcd over
+    all primes distinct from p.  An unstable certificate is reported as
+    such, never silently passed off as certified.
+    """
+    if d < 0:
+        raise ValueError(f"dimension must be >= 0, got {d}")
+    if scan_depth < 2:
+        raise ValueError(f"scan_depth must be >= 2, got {scan_depth}")
+    if p is not None and not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     scanned = PrimeIter(exclusions=(p,) if p is not None else ()).take(scan_depth)
-    if d == 0:
-        cert = ScanCertificate(d=d, excluded_p=p, primes_scanned=scan_depth,
-                               candidate_primes_q=(), witnesses=(), stable=True)
-        return FACTORED_ONE, cert
-
-    values = {ell: c_ell_d_int(ell, d) for ell in scanned}
-    g = 0
-    for v in values.values():
-        g = math.gcd(g, v)
-
-    candidates = tuple(sorted(factorize(g))) if g > 1 else ()
-    witnesses = {}
-    stable = True
+    candidates = tuple(q for q in range(2, d + 2) if is_prime(q))
+    # v_2 of the order depends only on ell mod 8; full coverage of the odd
+    # residue classes certifies the minimum
+    stable = d == 0 or {1, 3, 5, 7} <= {ell % 8 for ell in scanned}
+    exponents, witnesses = {}, {}
     for q in candidates:
-        v_min = valuation(g, q)
+        v = {ell: _order_valuation(ell, q, d) for ell in scanned}
+        v_min = exponents[q] = min(v.values())
+        witnesses[q] = next(ell for ell in scanned if v[ell] == v_min)
         if q == 2:
-            # v_2 of the order depends only on ell mod 8; full coverage of
-            # the odd residue classes certifies the minimum
-            covered = {ell % 8 for ell in scanned if ell % 2 == 1}
-            if not {1, 3, 5, 7} <= covered:
-                stable = False
-            witnesses[q] = next(ell for ell in scanned
-                                if valuation(values[ell], q) == v_min)
+            continue
+        root = next((ell for ell in scanned if _is_primitive_root_mod_q2(ell, q)), None)
+        if root is None:
+            stable = False
+        elif v[root] != v_min:
+            # a primitive root attains the global minimum
+            raise InvariantViolationError(
+                f"primitive root {root} mod {q}^2 misses the minimal "
+                f"{q}-valuation {v_min} of c_{d}")
         else:
-            witness = next((ell for ell in scanned
-                            if _is_primitive_root_mod_q2(ell, q)), None)
-            if witness is None:
-                stable = False
-                witness = next(ell for ell in scanned
-                               if valuation(values[ell], q) == v_min)
-            else:
-                # a primitive root attains the global minimum; the scanned
-                # gcd can therefore not sit above it
-                assert valuation(values[witness], q) == v_min
-            witnesses[q] = witness
+            witnesses[q] = root
 
     cert = ScanCertificate(
         d=d,
@@ -114,24 +137,7 @@ def _c_d_cached(d: int, p: Optional[int], scan_depth: int):
         witnesses=tuple(sorted(witnesses.items())),
         stable=stable,
     )
-    return FactoredInt.from_int(g), cert
-
-
-def c_d(d: int, p: Optional[int] = None,
-        scan_depth: int = DEFAULT_SCAN_DEPTH) -> Tuple[FactoredInt, ScanCertificate]:
-    """Gcd of the per-prime constants over the first scan_depth primes != p.
-
-    When the returned certificate is stable the value equals the true
-    gcd over all primes distinct from p.  An unstable certificate is
-    reported as such, never silently passed off as certified.
-    """
-    if d < 0:
-        raise ValueError(f"dimension must be >= 0, got {d}")
-    if scan_depth < 2:
-        raise ValueError(f"scan_depth must be >= 2, got {scan_depth}")
-    if p is not None and not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _c_d_cached(d, p, scan_depth)
+    return FactoredInt.from_dict(exponents), cert
 
 
 def c_d_stable(d: int, p: Optional[int] = None,

@@ -58,3 +58,8 @@ class UnstableCertificateError(RuntimeError):
         self.certificate = certificate
         super().__init__(message or "prime scan certificate is not stable; "
                                     "increase scan depth")
+
+
+class InvariantViolationError(RuntimeError):
+    """A guaranteed mathematical invariant failed: a defect in monobound,
+    not bad input.  Unlike assert, the check survives python -O."""

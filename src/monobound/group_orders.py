@@ -1,29 +1,13 @@
 """Orders of general linear groups over F_ell and over Z/4Z.
 
 The per-prime constant is |GL_d(F_ell)| for odd ell and |GL_d(Z/4Z)| for
-ell = 2.  Plain-integer variants exist so that gcd scans over many primes
-never have to factor the astronomically large individual orders.
+ell = 2.  The plain-integer variants give the unfactored orders, the
+oracle the certified gcd is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .numtheory import FACTORED_ONE, FactoredInt, is_prime
-
-
-@dataclass(frozen=True)
-class GroupOrderQuery:
-    """A (prime, dimension) pair addressing one per-prime constant."""
-
-    ell: int
-    d: int
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError(f"dimension must be >= 0, got {self.d}")
-        if not is_prime(self.ell):
-            raise ValueError(f"{self.ell} is not prime")
 
 
 def order_gl_fq_int(ell: int, d: int) -> int:

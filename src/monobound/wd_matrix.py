@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import (
+    InvariantViolationError,
     NotNilpotentError,
     NotUnipotentError,
     PreconditionViolatedError,
@@ -177,7 +178,8 @@ def _poly_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
 def _squarefree_part(p: List[Fraction]) -> List[Fraction]:
     g = _poly_gcd(p, _poly_deriv(p))
     q, r = _poly_divmod(p, g)
-    assert r == [Fraction(0)]
+    if r != [Fraction(0)]:
+        raise InvariantViolationError("gcd(p, p') does not divide p")
     return [c / q[-1] for c in q]
 
 
@@ -215,7 +217,8 @@ def jordan_chevalley(M: RationalMatrix) -> Tuple[RationalMatrix, RationalMatrix]
             break
         S = S - _poly_eval_matrix(g_prime, S).inverse() * gS
     else:
-        raise AssertionError("Newton iteration exceeded its convergence bound")
+        raise InvariantViolationError(
+            "Newton iteration exceeded its convergence bound")
     U = S.inverse() * M
     return S, U
 
@@ -301,7 +304,7 @@ def wd_pair(M: RationalMatrix, tau) -> WDPair:
 
     r is the semisimple (finite-order) part, N = log(U)/tau for the
     unipotent part U; the reconstruction identity holds exactly and is
-    asserted before returning.
+    checked before returning.
     """
     tau = Fraction(tau)
     if tau == 0:
@@ -312,5 +315,6 @@ def wd_pair(M: RationalMatrix, tau) -> WDPair:
             "matrix is not quasi-unipotent; no finite-order part exists")
     N = nilpotent_log(U).scale(1 / tau)
     pair = WDPair(r=S, n=N, tau=tau)
-    assert S * nilpotent_exp(N.scale(tau)) == M
+    if S * nilpotent_exp(N.scale(tau)) != M:
+        raise InvariantViolationError("r * exp(tau * N) does not reproduce M")
     return pair

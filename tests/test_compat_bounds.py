@@ -61,8 +61,14 @@ def test_c_d_known_values():
 
 
 def test_c_d_matches_closed_form():
-    for d in range(0, 7):
-        value, cert = c_d(d, 7)
+    for p in (None, 2, 3, 5, 7, 11):
+        for d in range(0, 81):
+            value, cert = c_d(d, p)
+            assert cert.stable
+            assert value.value() == minkowski_closed_form(d)
+    # the quintic threefold and sextic fourfold entries
+    for d in (204, 520, 2606):
+        value, cert = c_d(d, 5)
         assert cert.stable
         assert value.value() == minkowski_closed_form(d)
 
@@ -78,11 +84,16 @@ def test_scan_monotone_and_stable_across_depths():
 
 
 def test_c_d_divides_every_scanned_term():
-    for d in (1, 2, 3):
+    # the gcd of the expanded orders is the oracle for the LTE valuations
+    for d in range(0, 13):
         value, cert = c_d(d, 7)
         v = value.value()
+        g = 0
         for ell in PrimeIter(exclusions={7}).take(cert.primes_scanned):
-            assert c_ell_d_int(ell, d) % v == 0
+            order = c_ell_d_int(ell, d)
+            assert order % v == 0
+            g = math.gcd(g, order)
+        assert v == g
 
 
 def test_c_d_independent_of_excluded_p_beyond_five():
@@ -111,6 +122,12 @@ def test_unstable_scan_is_reported_not_hidden():
     assert not cert.stable
     with pytest.raises(UnstableCertificateError):
         c_d_stable(2, 7, scan_depth=2)
+    # candidates are the primes <= d + 1 even when the short scan's gcd
+    # has more prime factors (here 23, which divides 2^11 - 1 and 3^11 - 1)
+    value, cert = c_d(11, None, scan_depth=2)
+    assert not cert.stable
+    assert cert.candidate_primes_q == (2, 3, 5, 7, 11)
+    assert value.valuation(23) == 0
 
 
 def test_scan_depth_validation():

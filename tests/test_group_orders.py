@@ -4,7 +4,6 @@ from itertools import permutations, product
 import pytest
 
 from monobound.group_orders import (
-    GroupOrderQuery,
     c_ell_d,
     c_ell_d_int,
     order_gl_fq,
@@ -94,11 +93,3 @@ def test_minus_one_product_divisibility():
             big = math.prod(ell ** i - 1 for i in range(1, d + 2))
             assert big % max(small, 1) == 0
 
-
-def test_query_validation():
-    q = GroupOrderQuery(ell=3, d=2)
-    assert q.ell == 3
-    with pytest.raises(ValueError):
-        GroupOrderQuery(ell=4, d=2)
-    with pytest.raises(ValueError):
-        GroupOrderQuery(ell=3, d=-1)

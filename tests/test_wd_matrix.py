@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from genmatrices import random_quasi_unipotent, random_unimodular
+from monobound import wd_matrix
 from monobound.errors import (
+    InvariantViolationError,
     NotNilpotentError,
     NotUnipotentError,
     PreconditionViolatedError,
@@ -182,6 +184,13 @@ def test_wd_pair_validation():
         wd_pair(JORDAN, 0)
     with pytest.raises(PreconditionViolatedError):
         wd_pair(RM([[2, 0], [0, 2]]), 1)
+
+
+def test_wd_pair_reconstruction_check_raises(monkeypatch):
+    # a wrong exp must trip the reconstruction check, also under python -O
+    monkeypatch.setattr(wd_matrix, "nilpotent_exp", lambda N: N)
+    with pytest.raises(InvariantViolationError):
+        wd_pair(JORDAN, 1)
 
 
 def test_wd_pair_reconstruction_and_commutation():
