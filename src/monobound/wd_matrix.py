@@ -6,6 +6,14 @@ dimension), the multiplicative Jordan-Chevalley decomposition by Newton
 iteration, terminating log/exp on unipotent/nilpotent matrices, and the
 resulting finite-order-plus-nilpotent pair r * exp(tau * N).
 
+Everything answers from one characteristic polynomial, computed by
+Hessenberg reduction in O(d^3).  M is quasi-unipotent exactly when that
+polynomial is a product of cyclotomic polynomials Phi_i (each with
+phi(i) <= d), and the order of the semisimple part is the lcm of those
+i; no matrix is ever raised to a power that grows with d.  Products
+and inverses run on integers over common denominators and build one
+Fraction per entry.
+
 Everything is over exact rationals; equality checks are exact, there are
 no tolerances anywhere.
 """
@@ -13,9 +21,10 @@ no tolerances anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     InvariantViolationError,
@@ -25,7 +34,13 @@ from .errors import (
     SingularInputError,
     ZeroTauError,
 )
-from .numtheory import factorize, phi_inverse_set
+from .numtheory import phi_inverse_set
+
+
+def _over_common_denominator(xs) -> Tuple[int, List[int]]:
+    """(D, [x * D for x in xs]) with D the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -67,11 +82,14 @@ class RationalMatrix:
             for r1, r2 in zip(self.rows, other.rows)))
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        d = self.dim
-        cols = tuple(zip(*other.rows))
+        # fraction-free: each row of self and each column of other over its
+        # own common denominator, integer dot products, one Fraction per entry
+        rows = [_over_common_denominator(row) for row in self.rows]
+        cols = [_over_common_denominator(col) for col in zip(*other.rows)]
         return RationalMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows))
+            tuple(Fraction(sum(map(operator.mul, a, b)), da * db)
+                  for db, b in cols)
+            for da, a in rows))
 
     def scale(self, factor) -> "RationalMatrix":
         factor = Fraction(factor)
@@ -100,37 +118,81 @@ class RationalMatrix:
         return self == RationalMatrix.identity(self.dim)
 
     def inverse(self) -> "RationalMatrix":
-        """Gauss-Jordan inverse; raises SingularInputError when det = 0."""
+        """Inverse; raises SingularInputError when det = 0.
+
+        Fraction-free Gauss-Jordan (Bareiss 1968) on [A | I], where A
+        scales each row of self to integers by its common denominator.
+        Every division is exact, so all entries stay integers; with p the
+        last pivot (+-det A) the left block ends as p * I and the right
+        one as p * A^-1.  self^-1 is A^-1 with column j times the j-th
+        row denominator, one Fraction per entry.
+        """
         d = self.dim
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(d)]
-               for i, row in enumerate(self.rows)]
+        dens, aug = [], []
+        for i, row in enumerate(self.rows):
+            den, ints = _over_common_denominator(row)
+            dens.append(den)
+            aug.append(ints + [int(i == j) for j in range(d)])
+        prev = 1
         for col in range(d):
             pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
             if pivot is None:
                 raise SingularInputError("matrix is singular")
             aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [a / pv for a in aug[col]]
+            top = aug[col]
+            pv = top[col]
             for r in range(d):
-                if r != col and aug[r][col] != 0:
+                if r != col:
                     f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return RationalMatrix(tuple(tuple(row[d:]) for row in aug))
+                    aug[r] = [(pv * a - f * b) // prev
+                              for a, b in zip(aug[r], top)]
+            prev = pv
+        return RationalMatrix(tuple(
+            tuple(Fraction(a * den, prev) for a, den in zip(row[d:], dens))
+            for row in aug))
 
     def char_poly(self) -> List[Fraction]:
         """Characteristic polynomial, low-to-high coefficients, monic of degree d.
 
-        Faddeev-LeVerrier recursion, exact over the rationals.
+        Reduces a copy to upper Hessenberg form H by similarity (row
+        elimination below the subdiagonal, each step undone on the
+        columns), then runs the recurrence on the leading principal
+        minors of x - H.  O(d^3) exact rational operations.
         """
         d = self.dim
-        coeffs_high = [Fraction(1)]  # x^d downwards
-        Mk = RationalMatrix.zeros(d)
-        ident = RationalMatrix.identity(d)
-        for k in range(1, d + 1):
-            Mk = self * (Mk + ident.scale(coeffs_high[-1])) if k > 1 else self
-            ck = -Mk.trace() / k
-            coeffs_high.append(ck)
-        return list(reversed(coeffs_high))
+        H = [list(row) for row in self.rows]
+        for m in range(1, d - 1):
+            pivot = next((i for i in range(m, d) if H[i][m - 1] != 0), None)
+            if pivot is None:
+                continue
+            if pivot != m:
+                H[pivot], H[m] = H[m], H[pivot]
+                for row in H:
+                    row[pivot], row[m] = row[m], row[pivot]
+            t = H[m][m - 1]
+            for i in range(m + 1, d):
+                u = H[i][m - 1] / t
+                if u == 0:
+                    continue
+                H[i] = [a - u * b for a, b in zip(H[i], H[m])]
+                for row in H:
+                    row[m] += u * row[i]
+        # p[m] is the characteristic polynomial of the leading m x m block
+        p = [[Fraction(1)]]
+        for m in range(d):
+            pm = [Fraction(0)] + p[m]
+            for k, c in enumerate(p[m]):
+                pm[k] -= H[m][m] * c
+            t = Fraction(1)
+            for i in range(m - 1, -1, -1):
+                t *= H[i + 1][i]
+                if t == 0:
+                    break
+                f = t * H[i][m]
+                for k, c in enumerate(p[i]):
+                    pm[k] -= f * c
+            p.append(pm)
+        return p[d]
 
     def det(self) -> Fraction:
         p0 = self.char_poly()[0]
@@ -184,10 +246,12 @@ def _squarefree_part(p: List[Fraction]) -> List[Fraction]:
 
 
 def _poly_eval_matrix(p: List[Fraction], M: RationalMatrix) -> RationalMatrix:
-    result = RationalMatrix.zeros(M.dim)
-    ident = RationalMatrix.identity(M.dim)
-    for c in reversed(p):
-        result = result * M + ident.scale(c)
+    """p(M) by Horner's rule, adding each coefficient on the diagonal."""
+    result = RationalMatrix.identity(M.dim).scale(p[-1])
+    for c in reversed(p[:-1]):
+        rows = (result * M).rows
+        result = RationalMatrix(tuple(
+            row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(rows)))
     return result
 
 
@@ -196,18 +260,26 @@ def is_unipotent(M: RationalMatrix) -> bool:
     return (M - RationalMatrix.identity(M.dim)).power(M.dim).is_zero()
 
 
-def jordan_chevalley(M: RationalMatrix) -> Tuple[RationalMatrix, RationalMatrix]:
+def _nonsingular_char_poly(M: RationalMatrix) -> List[Fraction]:
+    char = M.char_poly()
+    if char[0] == 0:
+        raise SingularInputError("matrix is singular")
+    return char
+
+
+def jordan_chevalley(M: RationalMatrix, char: Optional[List[Fraction]] = None
+                     ) -> Tuple[RationalMatrix, RationalMatrix]:
     """Multiplicative decomposition M = S * U = U * S.
 
     S is semisimple (annihilated by the squarefree part of the
     characteristic polynomial), U is unipotent, and both are polynomials
     in M.  S is found by Newton iteration on the squarefree part g:
     convergence is quadratic and g(M) is nilpotent, so the iterate count
-    is bounded by the dimension.
+    is bounded by the dimension.  A caller that already holds the
+    characteristic polynomial of M passes it as `char`.
     """
-    char = M.char_poly()
-    if char[0] == 0:
-        raise SingularInputError("matrix is singular")
+    if char is None:
+        char = _nonsingular_char_poly(M)
     g = _squarefree_part(char)
     g_prime = _poly_deriv(g)
     S = M
@@ -223,32 +295,66 @@ def jordan_chevalley(M: RationalMatrix) -> Tuple[RationalMatrix, RationalMatrix]
     return S, U
 
 
-def _finite_order_exponent(d: int) -> int:
-    # any eigenvalue of a rational matrix of size d that is a root of
-    # unity has order i with phi(i) <= d
-    return math.lcm(*phi_inverse_set(d))
+def _cyclotomic(n: int, known: Dict[int, List[Fraction]]) -> List[Fraction]:
+    """Phi_n from Phi_(n/p), p the least prime factor of n, found in `known`:
+    Phi_n(x) = Phi_m(x^p) if p divides m = n/p, else Phi_m(x^p) / Phi_m(x)."""
+    if n == 1:
+        return [Fraction(-1), Fraction(1)]
+    p = next(q for q in range(2, n + 1) if n % q == 0)
+    m = n // p
+    spread = [Fraction(0)] * (p * (len(known[m]) - 1) + 1)
+    spread[::p] = known[m]
+    if m % p == 0:
+        return spread
+    quotient, _ = _poly_divmod(spread, known[m])
+    return quotient
+
+
+def _finite_order(char: List[Fraction]) -> Optional[int]:
+    """Common order of the roots of char if all are roots of unity, else None.
+
+    The roots are roots of unity exactly when char is a product of
+    cyclotomic polynomials Phi_i (Bradford & Davenport 1989), and then
+    phi(i) <= deg char for each factor and the order is the lcm of those
+    i.  Such a product has integer coefficients, so a fraction rejects
+    at once; otherwise the Phi_i are divided out in increasing i.
+    """
+    if any(c.denominator != 1 for c in char):
+        return None
+    rest = char
+    known: Dict[int, List[Fraction]] = {}
+    order = 1
+    for i in phi_inverse_set(len(char) - 1):
+        if len(rest) == 1:
+            break
+        phi_i = known[i] = _cyclotomic(i, known)
+        while len(phi_i) <= len(rest):
+            quotient, remainder = _poly_divmod(rest, phi_i)
+            if remainder != [0]:
+                break
+            rest = quotient
+            order = math.lcm(order, i)
+    return order if len(rest) == 1 else None
 
 
 def is_quasi_unipotent(M: RationalMatrix) -> bool:
     """True iff every eigenvalue of M is a root of unity.
 
-    Equivalent to the semisimple part having finite order; over the
-    rationals that order must divide lcm{i : phi(i) <= d}.
+    Read off the characteristic polynomial: it must be a product of
+    cyclotomic polynomials.
     """
-    S, _ = jordan_chevalley(M)
-    return S.power(_finite_order_exponent(M.dim)).is_identity()
+    return _finite_order(_nonsingular_char_poly(M)) is not None
 
 
 def semisimple_order(M: RationalMatrix) -> int:
-    """Multiplicative order of the semisimple part of a quasi-unipotent matrix."""
-    S, _ = jordan_chevalley(M)
-    m = _finite_order_exponent(M.dim)
-    if not S.power(m).is_identity():
+    """Multiplicative order of the semisimple part of a quasi-unipotent matrix.
+
+    S is diagonalizable with the eigenvalues of M, so its order is the
+    lcm of the orders of those roots of unity.
+    """
+    order = _finite_order(_nonsingular_char_poly(M))
+    if order is None:
         raise PreconditionViolatedError("matrix is not quasi-unipotent")
-    order = m
-    for q in factorize(m):
-        while order % q == 0 and S.power(order // q).is_identity():
-            order //= q
     return order
 
 
@@ -263,29 +369,41 @@ def trace_criterion(M: RationalMatrix) -> bool:
 
 
 def nilpotent_log(U: RationalMatrix) -> RationalMatrix:
-    """Terminating Mercator series log(U) for unipotent U."""
+    """Terminating Mercator series log(U) for unipotent U.
+
+    The series builds the powers of X = U - I; unipotence is the first
+    zero power, or else X^d = 0 from one more product.
+    """
     d = U.dim
     X = U - RationalMatrix.identity(d)
-    if not X.power(d).is_zero():
-        raise NotUnipotentError("matrix is not unipotent")
     result = RationalMatrix.zeros(d)
-    term = RationalMatrix.identity(d)
+    term = X
     for k in range(1, d):
-        term = term * X
+        if term.is_zero():
+            break
         result = result + term.scale(Fraction((-1) ** (k + 1), k))
+        term = term * X
+    if not term.is_zero():
+        raise NotUnipotentError("matrix is not unipotent")
     return result
 
 
 def nilpotent_exp(N: RationalMatrix) -> RationalMatrix:
-    """Terminating exponential series for nilpotent N."""
+    """Terminating exponential series for nilpotent N.
+
+    Nilpotence is the first zero term N^k / k!, or else N^d = 0 from one
+    more product.
+    """
     d = N.dim
-    if not N.power(d).is_zero():
-        raise NotNilpotentError("matrix is not nilpotent")
     result = RationalMatrix.identity(d)
-    term = RationalMatrix.identity(d)
+    term = N
     for k in range(1, d):
-        term = (term * N).scale(Fraction(1, k))
+        if term.is_zero():
+            break
         result = result + term
+        term = (term * N).scale(Fraction(1, k + 1))
+    if not term.is_zero():
+        raise NotNilpotentError("matrix is not nilpotent")
     return result
 
 
@@ -309,10 +427,11 @@ def wd_pair(M: RationalMatrix, tau) -> WDPair:
     tau = Fraction(tau)
     if tau == 0:
         raise ZeroTauError("tau must be nonzero")
-    S, U = jordan_chevalley(M)
-    if not S.power(_finite_order_exponent(M.dim)).is_identity():
+    char = _nonsingular_char_poly(M)
+    if _finite_order(char) is None:
         raise PreconditionViolatedError(
             "matrix is not quasi-unipotent; no finite-order part exists")
+    S, U = jordan_chevalley(M, char)
     N = nilpotent_log(U).scale(1 / tau)
     pair = WDPair(r=S, n=N, tau=tau)
     if S * nilpotent_exp(N.scale(tau)) != M:

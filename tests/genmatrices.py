@@ -74,3 +74,18 @@ def random_quasi_unipotent(rng: random.Random, d: int):
     P = random_unimodular(rng, d)
     M = P * (S0 * U0) * P.inverse()
     return M, unipotent
+
+
+def random_non_quasi_unipotent(rng: random.Random, d: int) -> RationalMatrix:
+    """A d x d (d >= 2) integral matrix with an eigenvalue (3 + sqrt 5)/2,
+    no root of unity: a hyperbolic block beside a quasi-unipotent one,
+    conjugated by a random unimodular matrix."""
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    rows[0][:2] = [Fraction(2), Fraction(1)]
+    rows[1][:2] = [Fraction(1), Fraction(1)]
+    if d > 2:
+        Q, _ = random_quasi_unipotent(rng, d - 2)
+        for i, row in enumerate(Q.rows):
+            rows[i + 2][2:] = row
+    P = random_unimodular(rng, d)
+    return P * RationalMatrix.from_rows(rows) * P.inverse()

@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from genmatrices import random_quasi_unipotent, random_unimodular
+from genmatrices import (
+    random_non_quasi_unipotent,
+    random_quasi_unipotent,
+    random_unimodular,
+)
 from monobound import wd_matrix
 from monobound.errors import (
     InvariantViolationError,
@@ -50,6 +54,93 @@ def test_inverse():
     assert M * M.inverse() == RationalMatrix.identity(2)
     with pytest.raises(SingularInputError):
         RM([[1, 1], [1, 1]]).inverse()
+
+
+def fraction_product(A, B):
+    """Entrywise sums of Fraction products, the reference for __mul__."""
+    cols = list(zip(*B.rows))
+    return RationalMatrix(tuple(
+        tuple(sum((a * b for a, b in zip(row, col)), Fraction(0))
+              for col in cols)
+        for row in A.rows))
+
+
+def faddeev_leverrier(M):
+    """Characteristic polynomial, low-to-high, by d Fraction products."""
+    d = M.dim
+    coeffs_high = [Fraction(1)]  # x^d downwards
+    ident = RationalMatrix.identity(d)
+    Mk = M
+    for k in range(1, d + 1):
+        if k > 1:
+            Mk = fraction_product(M, Mk + ident.scale(coeffs_high[-1]))
+        coeffs_high.append(-Mk.trace() / k)
+    return list(reversed(coeffs_high))
+
+
+def _random_rational(rng, d):
+    kind = rng.choice(("integer", "sparse", "fraction"))
+
+    def entry():
+        if kind == "integer":
+            return rng.randint(-4, 4)
+        if kind == "sparse":
+            return rng.choice((0, 0, 0, 1, -1, 2))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return RM([[entry() for _ in range(d)] for _ in range(d)])
+
+
+def _pivot_edge_cases():
+    yield RationalMatrix.zeros(1)
+    yield RationalMatrix.zeros(5)
+    yield RationalMatrix.identity(4)
+    for perm in ((1, 0), (2, 0, 1), (3, 2, 1, 0), (1, 3, 0, 2), (4, 0, 1, 2, 3)):
+        d = len(perm)
+        yield RM([[int(j == perm[i]) for j in range(d)] for i in range(d)])
+    # whole subdiagonal columns zero: block upper triangular, already
+    # Hessenberg in places, with the pivot needed only further down
+    yield RM([[1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9], [0, 0, 0, 10]])
+    yield RM([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 0, 5], [0, 0, 6, 0]])
+    yield RM([[0, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+              [1, 0, 0, 0, 2], [0, 0, 0, 1, 0]])
+    yield RM([[Fraction(1, 2), 0, 0], [0, 0, 1], [0, Fraction(-1, 3), 0]])
+
+
+def _char_poly_cases():
+    rng = random.Random(23)
+    yield from _pivot_edge_cases()
+    for _ in range(120):
+        yield _random_rational(rng, rng.randint(1, 10))
+
+
+def test_char_poly_matches_faddeev_leverrier():
+    for M in _char_poly_cases():
+        assert M.char_poly() == faddeev_leverrier(M), M.rows
+
+
+def test_char_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for M in _char_poly_cases():
+        expected = sympy.Matrix(M.dim, M.dim, [sympy.Rational(a.numerator, a.denominator)
+                                               for row in M.rows for a in row])
+        coeffs = expected.charpoly(x).all_coeffs()[::-1]
+        assert M.char_poly() == [Fraction(int(c.p), int(c.q)) for c in coeffs], M.rows
+
+
+def test_matmul_and_inverse_match_fraction_reference():
+    rng = random.Random(29)
+    for A in _pivot_edge_cases():
+        assert A * A == fraction_product(A, A)
+    for _ in range(150):
+        d = rng.randint(1, 8)
+        A, B = _random_rational(rng, d), _random_rational(rng, d)
+        assert A * B == fraction_product(A, B)
+        if faddeev_leverrier(A)[0] == 0:
+            with pytest.raises(SingularInputError):
+                A.inverse()
+        else:
+            assert fraction_product(A, A.inverse()) == RationalMatrix.identity(d)
 
 
 def test_is_unipotent():
@@ -128,6 +219,27 @@ def test_is_quasi_unipotent():
         is_quasi_unipotent(RM([[0, 0], [0, 1]]))
 
 
+def test_quasi_unipotence_is_false_off_the_cyclotomic_products():
+    # char poly x^2 - 5/2 x + 1 is not integral; x^2 - 3x + 1 is integral
+    # but not a product of cyclotomic polynomials
+    assert is_quasi_unipotent(RM([[Fraction(1, 2), 0], [0, 2]])) is False
+    assert is_quasi_unipotent(RM([[2, 1], [1, 1]])) is False
+    for M in (RM([[0, 0], [0, 2]]), RM([[0, 1], [0, 3]])):
+        for check in (is_quasi_unipotent, semisimple_order, trace_criterion,
+                      lambda M: wd_pair(M, 1)):
+            with pytest.raises(SingularInputError):
+                check(M)
+
+
+def test_non_quasi_unipotent_at_d22_is_refused():
+    # the order bound lcm{i : phi(i) <= 22} is about 1.6e11; nothing may
+    # be raised to that power
+    M = random_non_quasi_unipotent(random.Random(31), 22)
+    assert not is_quasi_unipotent(M)
+    with pytest.raises(PreconditionViolatedError):
+        wd_pair(M, 1)
+
+
 def test_trace_criterion_examples():
     assert trace_criterion(RM([[1, 5], [0, 1]]))
     assert not trace_criterion(ROTATION)
@@ -142,6 +254,30 @@ def test_trace_criterion_matches_unipotence():
         M, expected_unipotent = random_quasi_unipotent(rng, d)
         assert is_unipotent(M) == expected_unipotent
         assert trace_criterion(M) == expected_unipotent
+
+
+def test_nilpotency_boundaries():
+    for d in range(1, 8):
+        # full Jordan block: N^(d-1) != 0 and N^d = 0
+        N = RM([[int(j == i + 1) for j in range(d)] for i in range(d)])
+        assert not N.power(d - 1).is_zero() and N.power(d).is_zero()
+        E = nilpotent_exp(N)
+        assert E == RM([[Fraction(1, math.factorial(j - i)) if j >= i else 0
+                         for j in range(d)] for i in range(d)])
+        assert nilpotent_log(E) == N
+        assert nilpotent_log(RationalMatrix.identity(d)).is_zero()
+        # one nonzero eigenvalue: X^k != 0 for every k
+        X = RM([[1 if (i, j) == (d - 1, d - 1) else int(j == i + 1)
+                 for j in range(d)] for i in range(d)])
+        with pytest.raises(NotNilpotentError):
+            nilpotent_exp(X)
+        with pytest.raises(NotUnipotentError):
+            nilpotent_log(X + RationalMatrix.identity(d))
+    assert nilpotent_exp(RM([[0]])) == RM([[1]])
+    with pytest.raises(NotNilpotentError):
+        nilpotent_exp(RM([[Fraction(1, 3)]]))
+    with pytest.raises(NotUnipotentError):
+        nilpotent_log(RM([[-1]]))
 
 
 def test_nilpotent_log_exp_examples():
@@ -203,6 +339,28 @@ def test_wd_pair_reconstruction_and_commutation():
         assert pair.r * nilpotent_exp(pair.n.scale(tau)) == M
         assert pair.r * pair.n == pair.n * pair.r
         assert pair.n.power(d).is_zero()
+
+
+def _brute_force_order(S, bound):
+    power = S
+    for k in range(1, bound + 1):
+        if power.is_identity():
+            return k
+        power = power * S
+    raise AssertionError(f"no S^k = I for k <= {bound}")
+
+
+def test_semisimple_order_matches_brute_force():
+    rng = random.Random(37)
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        M, _ = random_quasi_unipotent(rng, d)
+        S, _ = jordan_chevalley(M)
+        bound = math.lcm(*phi_inverse_set(d))
+        assert semisimple_order(M) == _brute_force_order(S, bound)
+    for M, order in ((ROTATION, 4), (NEG_JORDAN, 2), (JORDAN, 1),
+                     (RM([[0, -1], [1, -1]]), 3), (RM([[0, -1], [1, 1]]), 6)):
+        assert semisimple_order(M) == order
 
 
 def test_semisimple_order_divides_totient_lcm():
