@@ -316,11 +316,8 @@ def _finite_order(char: List[Fraction]) -> Optional[int]:
     The roots are roots of unity exactly when char is a product of
     cyclotomic polynomials Phi_i (Bradford & Davenport 1989), and then
     phi(i) <= deg char for each factor and the order is the lcm of those
-    i.  Such a product has integer coefficients, so a fraction rejects
-    at once; otherwise the Phi_i are divided out in increasing i.
+    i.  The Phi_i are divided out in increasing i.
     """
-    if any(c.denominator != 1 for c in char):
-        return None
     rest = char
     known: Dict[int, List[Fraction]] = {}
     order = 1
