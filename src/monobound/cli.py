@@ -1,9 +1,18 @@
-"""Command-line front end: JSON in, JSON (or table) out, cached prime scans.
+"""Command-line front end: JSON in, JSON (or table) out.
+
+Each subcommand parses its input, calls one library function and
+serialises what it returns; the CLI computes nothing of its own.
+`variety-bound` is `variety_bounds.bound`, `refined` is
+`compat_bounds.refined_bound`, `cd` is `compat_bounds.c_d_stable`.
+Each subcommand declares only the options it reads.
+
+`cd` alone may keep its results in a scan cache file (`--cache` or
+$MONOBOUND_CACHE); a cached answer is identical to a computed one except
+for an added "cached" field.  Every other subcommand always computes.
 
 Exit codes: 0 success, 2 validation error (mathematically inconsistent
 input), 3 unstable scan certificate, 4 malformed input (bad JSON or
-schema).  Cached and uncached runs produce identical output except for
-an added "cached" field.
+schema).
 """
 
 from __future__ import annotations
@@ -11,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -20,11 +28,16 @@ from typing import Optional, Tuple
 
 from . import __version__
 from .chern_invariants import FamilySpec, invariants_of
-from .compat_bounds import DEFAULT_SCAN_DEPTH, ScanCertificate, c_d_stable
-from .errors import UnstableCertificateError, ValidationError
+from .compat_bounds import (
+    DEFAULT_SCAN_DEPTH,
+    ScanCertificate,
+    c_d_stable,
+    refined_bound,
+)
+from .errors import UnstableCertificateError
 from .group_orders import c_ell_d
-from .numtheory import FACTORED_ONE, FactoredInt, phi_inverse_set
-from .variety_bounds import VarietyInvariants, d_vector, descend
+from .numtheory import FactoredInt
+from .variety_bounds import VarietyInvariants, bound, descend
 from .wd_matrix import RationalMatrix, wd_pair
 
 EXIT_OK = 0
@@ -207,52 +220,42 @@ def _invariants_from_input(obj: dict) -> VarietyInvariants:
     raise MalformedInputError('input needs a "family" or "invariants" key')
 
 
-def cmd_cld(args, cfg) -> dict:
+def _factored(args, f: FactoredInt) -> dict:
+    return factored_to_json(f, not args.no_value_expansion,
+                            args.value_digit_limit)
+
+
+def cmd_cld(args) -> dict:
     return {"ell": args.ell, "d": args.d,
-            "order": factored_to_json(c_ell_d(args.ell, args.d),
-                                      cfg.expand_value, cfg.digit_limit)}
+            "order": _factored(args, c_ell_d(args.ell, args.d))}
 
 
-def cmd_cd(args, cfg) -> dict:
-    value, cert, hit = cached_c_d(cfg.cache, args.d, args.p, cfg.scan_depth)
-    out = {"d": args.d, "p": args.p, "scan_depth": cfg.scan_depth,
-           "value": factored_to_json(value, cfg.expand_value, cfg.digit_limit),
+def cmd_cd(args) -> dict:
+    cache = ScanCache(args.cache or os.environ.get(CACHE_ENV_VAR))
+    value, cert, hit = cached_c_d(cache, args.d, args.p, args.scan_depth)
+    out = {"d": args.d, "p": args.p, "scan_depth": args.scan_depth,
+           "value": _factored(args, value),
            "certificate": cert_to_json(cert)}
     if hit:
         out["cached"] = True
     return out
 
 
-def cmd_variety_bound(args, cfg) -> dict:
+def cmd_variety_bound(args) -> dict:
     inv = _invariants_from_input(_read_input(args.input))
-    h = args.h if args.h is not None else inv.n
-    if not 1 <= h <= inv.n:
-        raise ValidationError(f"h must lie in 1..{inv.n}, got {h}")
-    dv = d_vector(inv)
-    factors, certs, hits = [], [], []
-    product = FACTORED_ONE
-    for d_j in dv.entries[:h]:
-        value, cert, hit = cached_c_d(cfg.cache, d_j, args.p, cfg.scan_depth)
-        factors.append(value)
-        certs.append(cert)
-        hits.append(hit)
-        product = product * value
-    out = {
+    report = bound(inv, args.p, args.h, args.scan_depth)
+    return {
         "invariants": invariants_to_json(inv),
         "p": args.p,
-        "h": h,
-        "d_vector": list(dv.entries),
-        "factors": [factored_to_json(f, cfg.expand_value, cfg.digit_limit)
-                    for f in factors],
-        "product": factored_to_json(product, cfg.expand_value, cfg.digit_limit),
-        "certificates": [cert_to_json(c) for c in certs],
+        "h": len(report.factors),
+        "d_vector": list(report.d_vector.entries),
+        "factors": [_factored(args, f) for f in report.factors],
+        "product": _factored(args, report.product),
+        "certificates": [cert_to_json(c) for c in report.certificates],
     }
-    if hits and all(hits):
-        out["cached"] = True
-    return out
 
 
-def cmd_invariants(args, cfg) -> dict:
+def cmd_invariants(args) -> dict:
     obj = _read_input(args.input)
     if "family" not in obj:
         raise MalformedInputError('input needs a "family" key')
@@ -260,7 +263,7 @@ def cmd_invariants(args, cfg) -> dict:
     return {"invariants": invariants_to_json(inv)}
 
 
-def cmd_descend(args, cfg) -> dict:
+def cmd_descend(args) -> dict:
     inv = _invariants_from_input(_read_input(args.input))
     chain = []
     for _ in range(args.steps):
@@ -269,7 +272,7 @@ def cmd_descend(args, cfg) -> dict:
     return {"steps": chain}
 
 
-def cmd_wd(args, cfg) -> dict:
+def cmd_wd(args) -> dict:
     obj = _read_input(args.input)
     if "matrix" not in obj:
         raise MalformedInputError('input needs a "matrix" key')
@@ -282,41 +285,19 @@ def cmd_wd(args, cfg) -> dict:
             "tau": str(pair.tau)}
 
 
-def cmd_refined(args, cfg) -> dict:
-    if args.d < 1:
-        raise ValidationError(f"refined bound needs d >= 1, got {args.d}")
-    # route the scan through the cache; the wild part is read off the
-    # cached gcd rather than rescanned
-    value, cert, hit = cached_c_d(cfg.cache, args.d, args.p, cfg.scan_depth)
-    tame = phi_inverse_set(args.d)
-    out = {
-        "d": args.d, "p": args.p,
-        "tame_set": list(tame),
-        "tame_max": max(tame),
-        "tame_lcm": math.lcm(*tame),
-        "wild_part": factored_to_json(value.p_part(args.p), cfg.expand_value,
-                                      cfg.digit_limit),
-        "certificate": cert_to_json(cert),
+def cmd_refined(args) -> dict:
+    rb = refined_bound(args.d, args.p, args.scan_depth)
+    return {
+        "d": rb.d, "p": rb.p,
+        "tame_set": list(rb.tame_set),
+        "tame_max": rb.tame_max,
+        "tame_lcm": rb.tame_lcm,
+        "wild_part": _factored(args, rb.wild_part),
+        "certificate": cert_to_json(rb.certificate),
     }
-    if hit:
-        out["cached"] = True
-    return out
 
 
 # --------------------------------------------------------------------- driver
-
-class JobConfig:
-    def __init__(self, args):
-        self.scan_depth = args.scan_depth
-        if self.scan_depth < 2:
-            raise ValidationError(
-                f"scan depth must be >= 2, got {self.scan_depth}")
-        self.format = args.format
-        self.expand_value = not args.no_value_expansion
-        self.digit_limit = args.value_digit_limit
-        path = args.cache or os.environ.get(CACHE_ENV_VAR)
-        self.cache = ScanCache(path)
-
 
 def _render_table(obj: dict, indent: str = "") -> str:
     lines = []
@@ -331,18 +312,6 @@ def _render_table(obj: dict, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--scan-depth", type=int, default=DEFAULT_SCAN_DEPTH,
-                        help="number of primes per gcd scan (default 100)")
-    parser.add_argument("--cache", default=None,
-                        help=f"cache file path (or set ${CACHE_ENV_VAR})")
-    parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--no-value-expansion", action="store_true",
-                        help="never expand factored values to plain integers")
-    parser.add_argument("--value-digit-limit", type=int, default=1000,
-                        help="omit expanded values above this many digits")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monobound",
@@ -350,79 +319,85 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cld", help="order of GL_d over F_ell (Z/4Z for ell=2)")
+    # option groups, each declared only on the subcommands that read it
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "table"), default="json")
+    values = argparse.ArgumentParser(add_help=False)
+    values.add_argument("--no-value-expansion", action="store_true",
+                        help="never expand factored values to plain integers")
+    values.add_argument("--value-digit-limit", type=int, default=1000,
+                        help="omit expanded values above this many digits")
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--scan-depth", type=int, default=DEFAULT_SCAN_DEPTH,
+                      help="number of primes per gcd scan (default 100)")
+
+    p = sub.add_parser("cld", parents=[fmt, values],
+                       help="order of GL_d over F_ell (Z/4Z for ell=2)")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_cld)
 
-    p = sub.add_parser("cd", help="certified gcd of orders over primes != p")
+    p = sub.add_parser("cd", parents=[fmt, values, scan],
+                       help="certified gcd of orders over primes != p")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--cache", default=None,
+                   help=f"scan cache file path (or set ${CACHE_ENV_VAR})")
     p.set_defaults(func=cmd_cd)
 
-    p = sub.add_parser("variety-bound",
+    p = sub.add_parser("variety-bound", parents=[fmt, values, scan],
                        help="index bound from variety invariants or a family")
     p.add_argument("--input", default="-", help="JSON file or - for stdin")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--h", type=int, default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_variety_bound)
 
-    p = sub.add_parser("invariants", help="Betti/Chern invariants of a family")
+    p = sub.add_parser("invariants", parents=[fmt],
+                       help="Betti/Chern invariants of a family")
     p.add_argument("--input", default="-")
-    _add_common(p)
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("descend", help="iterated hyperplane-section invariants")
+    p = sub.add_parser("descend", parents=[fmt],
+                       help="iterated hyperplane-section invariants")
     p.add_argument("--input", default="-")
     p.add_argument("--steps", type=int, default=1)
-    _add_common(p)
     p.set_defaults(func=cmd_descend)
 
-    p = sub.add_parser("wd-decompose",
+    p = sub.add_parser("wd-decompose", parents=[fmt],
                        help="finite-order / nilpotent split of a rational matrix")
     p.add_argument("--input", default="-")
     p.add_argument("--tau", default="1")
-    _add_common(p)
     p.set_defaults(func=cmd_wd)
 
-    p = sub.add_parser("refined", help="tame/wild refinement for dimension d")
+    p = sub.add_parser("refined", parents=[fmt, values, scan],
+                       help="tame/wild refinement for dimension d")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_refined)
 
     return parser
 
 
-def _emit(obj: dict, fmt: str) -> None:
-    if fmt == "table":
-        print(_render_table(obj))
-    else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fmt = getattr(args, "format", "json")
+    args = build_parser().parse_args(argv)
     try:
-        cfg = JobConfig(args)
-        result = args.func(args, cfg)
+        result, code = args.func(args), EXIT_OK
     except MalformedInputError as exc:
-        _emit({"error": {"type": "MalformedInput", "message": str(exc)}}, fmt)
-        return EXIT_MALFORMED
+        result = {"error": {"type": "MalformedInput", "message": str(exc)}}
+        code = EXIT_MALFORMED
     except UnstableCertificateError as exc:
-        _emit({"error": {"type": "UnstableCertificate", "message": str(exc),
-                         "certificate": cert_to_json(exc.certificate)}}, fmt)
-        return EXIT_UNSTABLE
-    except (ValidationError, ValueError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, fmt)
-        return EXIT_VALIDATION
-    _emit(result, cfg.format)
-    return EXIT_OK
+        result = {"error": {"type": "UnstableCertificate", "message": str(exc),
+                            "certificate": cert_to_json(exc.certificate)}}
+        code = EXIT_UNSTABLE
+    except ValueError as exc:
+        # ValidationError and its subclasses keep their own type name
+        result = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        code = EXIT_VALIDATION
+    if args.format == "table":
+        print(_render_table(result))
+    else:
+        print(json.dumps(result, indent=2, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import InvariantViolationError, UnstableCertificateError
+from .errors import (
+    InvariantViolationError,
+    UnstableCertificateError,
+    ValidationError,
+)
 from .numtheory import (
     FactoredInt,
     PrimeIter,
@@ -103,7 +107,7 @@ def c_d(d: int, p: Optional[int] = None,
     if d < 0:
         raise ValueError(f"dimension must be >= 0, got {d}")
     if scan_depth < 2:
-        raise ValueError(f"scan_depth must be >= 2, got {scan_depth}")
+        raise ValidationError(f"scan_depth must be >= 2, got {scan_depth}")
     if p is not None and not is_prime(p):
         raise ValueError(f"{p} is not prime")
     scanned = PrimeIter(exclusions=(p,) if p is not None else ()).take(scan_depth)
@@ -163,7 +167,8 @@ class RefinedBound:
 
     tame_set lists every possible order i of a tame generator (those with
     phi(i) <= d); tame_max and tame_lcm are the two ways of combining
-    them.  wild_part is a power of p bounding the wild image.
+    them.  wild_part is a power of p bounding the wild image: the p-part
+    of the certified gcd over primes != p, whose scan is `certificate`.
     """
 
     d: int
@@ -172,17 +177,20 @@ class RefinedBound:
     tame_set: Tuple[int, ...]
     tame_lcm: int
     wild_part: FactoredInt
+    certificate: ScanCertificate
 
 
 def refined_bound(d: int, p: int, scan_depth: int = DEFAULT_SCAN_DEPTH) -> RefinedBound:
     if d < 1:
-        raise ValueError(f"refined_bound needs d >= 1, got {d}")
+        raise ValidationError(f"refined bound needs d >= 1, got {d}")
     tame = tuple(phi_inverse_set(d))
+    value, cert = c_d_stable(d, p, scan_depth)
     return RefinedBound(
         d=d,
         p=p,
         tame_max=max(tame),
         tame_set=tame,
         tame_lcm=math.lcm(*tame),
-        wild_part=p_part_c_d(d, p, scan_depth),
+        wild_part=value.p_part(p),
+        certificate=cert,
     )

@@ -11,6 +11,7 @@ share between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
@@ -270,27 +271,33 @@ def euler_phi(i: int) -> int:
     return phi
 
 
-def totient_sieve(limit: int) -> List[int]:
-    """phi(i) for 0 <= i <= limit, by the usual multiplicative sieve."""
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, limit + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
-
-
 def phi_inverse_set(d: int) -> List[int]:
     """All i with phi(i) <= d, sorted.
 
-    phi(i) >= sqrt(i/2) for every i >= 1, so phi(i) <= d forces
-    i <= 2*d**2 and scanning that far is exhaustive.
+    phi(r^e) = r^(e-1) (r - 1) is multiplicative, so each such i is a
+    product of prime powers r^e with r <= d + 1.  A depth-first search
+    extends a product by powers of ever larger primes while its totient
+    stays <= d; every node is an answer.
     """
     if d < 1:
         raise ValueError(f"phi_inverse_set needs d >= 1, got {d}")
-    limit = 2 * d * d
-    phi = totient_sieve(limit)
-    return [i for i in range(1, limit + 1) if phi[i] <= d]
+    rs = list(itertools.takewhile(lambda r: r <= d + 1, primes()))
+    found = []
+    stack = [(0, 1, 1)]  # (index of the least usable prime, i, phi(i))
+    while stack:
+        k, i, phi = stack.pop()
+        found.append(i)
+        for j in range(k, len(rs)):
+            r = rs[j]
+            phi_r = phi * (r - 1)
+            if phi_r > d:
+                break
+            power = r
+            while phi_r <= d:
+                stack.append((j + 1, i * power, phi_r))
+                power *= r
+                phi_r *= r
+    return sorted(found)
 
 
 def valuation(n: Union[int, FactoredInt], q: int) -> int:

@@ -256,8 +256,9 @@ def _poly_eval_matrix(p: List[Fraction], M: RationalMatrix) -> RationalMatrix:
 
 
 def is_unipotent(M: RationalMatrix) -> bool:
-    """(M - I)^d = 0, checked exactly."""
-    return (M - RationalMatrix.identity(M.dim)).power(M.dim).is_zero()
+    """Char poly (x - 1)^d, so (M - I)^d = 0 by Cayley-Hamilton."""
+    d = M.dim
+    return M.char_poly() == [math.comb(d, k) * (-1) ** (d - k) for k in range(d + 1)]
 
 
 def _nonsingular_char_poly(M: RationalMatrix) -> List[Fraction]:

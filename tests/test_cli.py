@@ -2,14 +2,20 @@ import json
 
 import pytest
 
+from monobound.chern_invariants import FamilySpec, invariants_of
 from monobound.cli import (
     EXIT_MALFORMED,
     EXIT_OK,
     EXIT_UNSTABLE,
     EXIT_VALIDATION,
     ScanCache,
+    cert_to_json,
+    factored_to_json,
+    invariants_to_json,
     main,
 )
+from monobound.compat_bounds import refined_bound
+from monobound.variety_bounds import bound
 
 
 def run_cli(capsys, *argv):
@@ -227,3 +233,88 @@ def test_table_format(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "order:" in out and '"2": 4' not in out.split("order:")[0]
+
+
+@pytest.mark.parametrize("n, degree, p", [(2, 4, 7), (3, 5, 2)])
+def test_variety_bound_is_the_library_bound(capsys, tmp_path, n, degree, p):
+    # K3 and the quintic threefold
+    inv = invariants_of(FamilySpec("hypersurface", n, (degree,)))
+    report = bound(inv, p)
+    path = write_input(tmp_path, {"family": {"kind": "hypersurface", "n": n,
+                                             "degrees": [degree]}})
+    code, out = run_cli(capsys, "variety-bound", "--input", path, "--p", str(p))
+    assert code == EXIT_OK
+    assert out == {
+        "invariants": invariants_to_json(inv),
+        "p": p,
+        "h": len(report.factors),
+        "d_vector": list(report.d_vector.entries),
+        "factors": [factored_to_json(f) for f in report.factors],
+        "product": factored_to_json(report.product),
+        "certificates": [cert_to_json(c) for c in report.certificates],
+    }
+
+
+@pytest.mark.parametrize("d, p", [(1, 5), (2, 3), (6, 2), (22, 7)])
+def test_refined_is_the_library_refined_bound(capsys, d, p):
+    rb = refined_bound(d, p)
+    code, out = run_cli(capsys, "refined", "--d", str(d), "--p", str(p))
+    assert code == EXIT_OK
+    assert out == {
+        "d": d, "p": p,
+        "tame_set": list(rb.tame_set),
+        "tame_max": rb.tame_max,
+        "tame_lcm": rb.tame_lcm,
+        "wild_part": factored_to_json(rb.wild_part),
+        "certificate": cert_to_json(rb.certificate),
+    }
+
+
+def test_refined_d0_is_a_validation_error(capsys):
+    code, out = run_cli(capsys, "refined", "--d", "0", "--p", "5")
+    assert code == EXIT_VALIDATION
+    assert out["error"] == {"type": "ValidationError",
+                            "message": "refined bound needs d >= 1, got 0"}
+
+
+def test_only_cd_touches_the_scan_cache(capsys, tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    monkeypatch.setenv("MONOBOUND_CACHE", str(cache_dir / "scan.cache"))
+    family = write_input(tmp_path, {"family": {"kind": "hypersurface", "n": 2,
+                                               "degrees": [4]}})
+    matrix = write_input(tmp_path, {"matrix": [["-1", "1"], ["0", "-1"]]},
+                         name="matrix.json")
+    for argv in (("cld", "--ell", "3", "--d", "2"),
+                 ("invariants", "--input", family),
+                 ("wd-decompose", "--input", matrix),
+                 ("descend", "--input", family),
+                 ("variety-bound", "--input", family, "--p", "7"),
+                 ("refined", "--d", "2", "--p", "3")):
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_OK and "cached" not in out
+        assert list(cache_dir.iterdir()) == []
+    run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    assert [f.name for f in cache_dir.iterdir()] == ["scan.cache"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--scan-depth", "5"),
+    ("descend", "--no-value-expansion"),
+    ("wd-decompose", "--value-digit-limit", "10"),
+    ("variety-bound", "--p", "5", "--cache", "scan.cache"),
+    ("refined", "--d", "2", "--p", "3", "--cache", "scan.cache"),
+    ("cld", "--ell", "3", "--d", "2", "--scan-depth", "5"),
+])
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_scan_depth_below_two_is_a_validation_error(capsys):
+    code, out = run_cli(capsys, "cd", "--d", "2", "--p", "7", "--scan-depth", "1")
+    assert code == EXIT_VALIDATION
+    assert out["error"] == {"type": "ValidationError",
+                            "message": "scan_depth must be >= 2, got 1"}

@@ -13,13 +13,22 @@ from monobound.numtheory import (
     is_prime,
     phi_inverse_set,
     primes,
-    totient_sieve,
     valuation,
 )
 
 
 def brute_phi(i):
     return sum(1 for k in range(1, i + 1) if math.gcd(k, i) == 1)
+
+
+def totient_sieve(limit):
+    """phi(i) for 0 <= i <= limit, by the usual multiplicative sieve."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # p prime
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
 
 
 def test_is_prime_small():
@@ -111,6 +120,21 @@ def test_phi_inverse_set_examples():
     assert phi_inverse_set(2) == [1, 2, 3, 4, 6]
     s = phi_inverse_set(4)
     assert 12 in s and 13 not in s
+
+
+def test_phi_inverse_set_matches_sieve():
+    # every i <= 2 * 300^2 with phi(i) <= d; phi(i) >= sqrt(i/2) puts all
+    # answers for d <= 300 inside the sieve
+    limit = 2 * 300 * 300
+    phi = totient_sieve(limit)
+    by_phi = {}
+    for i in range(1, limit + 1):
+        if phi[i] <= 300:
+            by_phi.setdefault(phi[i], []).append(i)
+    expected = []
+    for d in range(1, 301):
+        expected = sorted(expected + by_phi.get(d, []))
+        assert phi_inverse_set(d) == expected
 
 
 def test_phi_inverse_set_enumeration_bound():

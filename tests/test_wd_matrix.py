@@ -147,6 +147,17 @@ def test_is_unipotent():
     assert is_unipotent(RationalMatrix.identity(3))
     assert is_unipotent(JORDAN)
     assert not is_unipotent(ROTATION)
+    assert not is_unipotent(RM([[1, 0], [0, 2]]))
+    assert not is_unipotent(RM([[1, 1], [1, 1]]))  # singular: no exception
+    # against the definition (M - I)^d = 0
+    rng = random.Random(5)
+    cases = [random_quasi_unipotent(rng, rng.randint(1, 5))[0] for _ in range(60)]
+    cases += [random_non_quasi_unipotent(rng, rng.randint(2, 5)) for _ in range(20)]
+    cases += [RM([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+                  for _ in range(3)]) for _ in range(20)]
+    for M in cases:
+        d = M.dim
+        assert is_unipotent(M) == (M - RationalMatrix.identity(d)).power(d).is_zero()
 
 
 def test_jordan_chevalley_examples():
