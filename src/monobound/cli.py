@@ -10,37 +10,39 @@ Each subcommand declares only the options it reads.
 $MONOBOUND_CACHE); a cached answer is identical to a computed one except
 for an added "cached" field.  Every other subcommand always computes.
 
-Exit codes: 0 success, 2 validation error (mathematically inconsistent
-input), 3 unstable scan certificate, 4 malformed input (bad JSON or
-schema).
+Each subcommand imports the library modules it uses when it runs, so
+a process loads only what its subcommand needs: `cld` loads
+`group_orders`; `wd-decompose` loads `wd_matrix`; `cd` and `refined`
+load `compat_bounds`; `variety-bound`, `invariants` and `descend` load
+`variety_bounds` (and with it `compat_bounds`), plus `chern_invariants`
+for a family input; each also loads `numtheory`.  Building the parser
+imports no library module.
+
+Exit codes: 0 success, 1 stdout closed before the answer was written,
+2 validation error (mathematically inconsistent input), 3 unstable scan
+certificate, 4 malformed input (bad JSON or schema).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
-from fractions import Fraction
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from . import __version__
-from .chern_invariants import FamilySpec, invariants_of
-from .compat_bounds import (
-    DEFAULT_SCAN_DEPTH,
-    ScanCertificate,
-    c_d_stable,
-    refined_bound,
-)
 from .errors import UnstableCertificateError
-from .group_orders import c_ell_d
-from .numtheory import FactoredInt
-from .variety_bounds import VarietyInvariants, bound, descend
-from .wd_matrix import RationalMatrix, wd_pair
+
+if TYPE_CHECKING:
+    from .chern_invariants import FamilySpec
+    from .compat_bounds import ScanCertificate
+    from .numtheory import FactoredInt
+    from .variety_bounds import VarietyInvariants
+    from .wd_matrix import RationalMatrix
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_VALIDATION = 2
 EXIT_UNSTABLE = 3
 EXIT_MALFORMED = 4
@@ -63,6 +65,7 @@ def factored_to_json(f: FactoredInt, expand_value: bool = True,
 
 
 def factored_from_json(obj: dict) -> FactoredInt:
+    from .numtheory import FactoredInt
     return FactoredInt.from_dict({int(p): int(e)
                                   for p, e in obj["factors"].items()})
 
@@ -79,6 +82,7 @@ def cert_to_json(cert: ScanCertificate) -> dict:
 
 
 def cert_from_json(obj: dict) -> ScanCertificate:
+    from .compat_bounds import ScanCertificate
     return ScanCertificate(
         d=obj["d"],
         excluded_p=obj["excluded_p"],
@@ -95,6 +99,7 @@ def invariants_to_json(inv: VarietyInvariants) -> dict:
 
 
 def invariants_from_json(obj: dict) -> VarietyInvariants:
+    from .variety_bounds import VarietyInvariants
     try:
         return VarietyInvariants(n=int(obj["n"]),
                                  b=tuple(int(x) for x in obj["b"]),
@@ -104,6 +109,7 @@ def invariants_from_json(obj: dict) -> VarietyInvariants:
 
 
 def family_from_json(obj: dict) -> FamilySpec:
+    from .chern_invariants import FamilySpec
     try:
         return FamilySpec(kind=obj["kind"], n=int(obj["n"]),
                           degrees=tuple(int(x) for x in obj.get("degrees", ())))
@@ -112,6 +118,9 @@ def family_from_json(obj: dict) -> FamilySpec:
 
 
 def matrix_from_json(obj) -> RationalMatrix:
+    from fractions import Fraction
+
+    from .wd_matrix import RationalMatrix
     try:
         return RationalMatrix.from_rows(
             [[Fraction(str(x)) for x in row] for row in obj])
@@ -126,6 +135,7 @@ def matrix_to_json(M: RationalMatrix):
 # ---------------------------------------------------------------------- cache
 
 def _checksum(payload: dict) -> str:
+    import hashlib
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -157,6 +167,7 @@ class ScanCache:
 
     @staticmethod
     def key(d: int, p: Optional[int], scan_depth: int) -> str:
+        import hashlib
         raw = f"{__version__}:cd:{d}:{p}:{scan_depth}"
         return hashlib.sha256(raw.encode()).hexdigest()
 
@@ -168,6 +179,7 @@ class ScanCache:
         self._entries[key] = {"checksum": _checksum(payload), "payload": payload}
         if not self.path:
             return
+        import tempfile
         directory = os.path.dirname(os.path.abspath(self.path))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
@@ -182,6 +194,7 @@ class ScanCache:
 def cached_c_d(cache: ScanCache, d: int, p: Optional[int],
                scan_depth: int) -> Tuple[FactoredInt, ScanCertificate, bool]:
     """Certified gcd with cache lookaside; returns (value, cert, was_hit)."""
+    from .compat_bounds import c_d_stable
     key = ScanCache.key(d, p, scan_depth)
     payload = cache.get(key)
     if payload is not None:
@@ -214,10 +227,17 @@ def _read_input(path: str) -> dict:
 
 def _invariants_from_input(obj: dict) -> VarietyInvariants:
     if "family" in obj:
+        from .chern_invariants import invariants_of
         return invariants_of(family_from_json(obj["family"]))
     if "invariants" in obj:
         return invariants_from_json(obj["invariants"])
     raise MalformedInputError('input needs a "family" or "invariants" key')
+
+
+def _scan_depth(args) -> int:
+    """--scan-depth, or the library's default when it was not given."""
+    from .compat_bounds import DEFAULT_SCAN_DEPTH
+    return DEFAULT_SCAN_DEPTH if args.scan_depth is None else args.scan_depth
 
 
 def _factored(args, f: FactoredInt) -> dict:
@@ -226,14 +246,16 @@ def _factored(args, f: FactoredInt) -> dict:
 
 
 def cmd_cld(args) -> dict:
+    from .group_orders import c_ell_d
     return {"ell": args.ell, "d": args.d,
             "order": _factored(args, c_ell_d(args.ell, args.d))}
 
 
 def cmd_cd(args) -> dict:
+    scan_depth = _scan_depth(args)
     cache = ScanCache(args.cache or os.environ.get(CACHE_ENV_VAR))
-    value, cert, hit = cached_c_d(cache, args.d, args.p, args.scan_depth)
-    out = {"d": args.d, "p": args.p, "scan_depth": args.scan_depth,
+    value, cert, hit = cached_c_d(cache, args.d, args.p, scan_depth)
+    out = {"d": args.d, "p": args.p, "scan_depth": scan_depth,
            "value": _factored(args, value),
            "certificate": cert_to_json(cert)}
     if hit:
@@ -242,8 +264,9 @@ def cmd_cd(args) -> dict:
 
 
 def cmd_variety_bound(args) -> dict:
+    from .variety_bounds import bound
     inv = _invariants_from_input(_read_input(args.input))
-    report = bound(inv, args.p, args.h, args.scan_depth)
+    report = bound(inv, args.p, args.h, _scan_depth(args))
     return {
         "invariants": invariants_to_json(inv),
         "p": args.p,
@@ -256,6 +279,7 @@ def cmd_variety_bound(args) -> dict:
 
 
 def cmd_invariants(args) -> dict:
+    from .chern_invariants import invariants_of
     obj = _read_input(args.input)
     if "family" not in obj:
         raise MalformedInputError('input needs a "family" key')
@@ -264,6 +288,7 @@ def cmd_invariants(args) -> dict:
 
 
 def cmd_descend(args) -> dict:
+    from .variety_bounds import descend
     inv = _invariants_from_input(_read_input(args.input))
     chain = []
     for _ in range(args.steps):
@@ -273,6 +298,9 @@ def cmd_descend(args) -> dict:
 
 
 def cmd_wd(args) -> dict:
+    from fractions import Fraction
+
+    from .wd_matrix import wd_pair
     obj = _read_input(args.input)
     if "matrix" not in obj:
         raise MalformedInputError('input needs a "matrix" key')
@@ -286,7 +314,8 @@ def cmd_wd(args) -> dict:
 
 
 def cmd_refined(args) -> dict:
-    rb = refined_bound(args.d, args.p, args.scan_depth)
+    from .compat_bounds import refined_bound
+    rb = refined_bound(args.d, args.p, _scan_depth(args))
     return {
         "d": rb.d, "p": rb.p,
         "tame_set": list(rb.tame_set),
@@ -328,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     values.add_argument("--value-digit-limit", type=int, default=1000,
                         help="omit expanded values above this many digits")
     scan = argparse.ArgumentParser(add_help=False)
-    scan.add_argument("--scan-depth", type=int, default=DEFAULT_SCAN_DEPTH,
+    # None stands for compat_bounds.DEFAULT_SCAN_DEPTH, read by _scan_depth
+    # so that building the parser imports no library module
+    scan.add_argument("--scan-depth", type=int, default=None,
                       help="number of primes per gcd scan (default 100)")
 
     p = sub.add_parser("cld", parents=[fmt, values],
@@ -393,10 +424,17 @@ def main(argv=None) -> int:
         # ValidationError and its subclasses keep their own type name
         result = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = EXIT_VALIDATION
-    if args.format == "table":
-        print(_render_table(result))
-    else:
-        print(json.dumps(result, indent=2, sort_keys=True))
+    text = (_render_table(result) if args.format == "table"
+            else json.dumps(result, indent=2, sort_keys=True))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so that the flush
+        # at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

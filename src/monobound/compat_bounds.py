@@ -105,11 +105,11 @@ def c_d(d: int, p: Optional[int] = None,
     such, never silently passed off as certified.
     """
     if d < 0:
-        raise ValueError(f"dimension must be >= 0, got {d}")
+        raise ValidationError(f"dimension must be >= 0, got {d}")
     if scan_depth < 2:
         raise ValidationError(f"scan_depth must be >= 2, got {scan_depth}")
     if p is not None and not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValidationError(f"{p} is not prime")
     scanned = PrimeIter(exclusions=(p,) if p is not None else ()).take(scan_depth)
     candidates = tuple(q for q in range(2, d + 2) if is_prime(q))
     # v_2 of the order depends only on ell mod 8; full coverage of the odd
@@ -156,7 +156,7 @@ def c_d_stable(d: int, p: Optional[int] = None,
 def p_part_c_d(d: int, p: int, scan_depth: int = DEFAULT_SCAN_DEPTH) -> FactoredInt:
     """p-part of the certified gcd taken over primes ell != p."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValidationError(f"{p} is not prime")
     value, _ = c_d_stable(d, p, scan_depth)
     return value.p_part(p)
 

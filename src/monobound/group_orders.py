@@ -7,13 +7,14 @@ oracle the certified gcd is tested against.
 
 from __future__ import annotations
 
+from .errors import ValidationError
 from .numtheory import FACTORED_ONE, FactoredInt, is_prime
 
 
 def order_gl_fq_int(ell: int, d: int) -> int:
     """|GL_d(F_ell)| = ell^(d(d-1)/2) * prod_{i=1..d} (ell^i - 1) as a plain int."""
     if d < 0:
-        raise ValueError(f"dimension must be >= 0, got {d}")
+        raise ValidationError(f"dimension must be >= 0, got {d}")
     order = ell ** (d * (d - 1) // 2)
     for i in range(1, d + 1):
         order *= ell ** i - 1
@@ -26,14 +27,14 @@ def order_gl_z4_int(d: int) -> int:
     The kernel of reduction mod 2 is I + 2*M_d(Z/2), of order 2^(d^2).
     """
     if d < 0:
-        raise ValueError(f"dimension must be >= 0, got {d}")
+        raise ValidationError(f"dimension must be >= 0, got {d}")
     return 2 ** (d * d) * order_gl_fq_int(2, d)
 
 
 def c_ell_d_int(ell: int, d: int) -> int:
     """Per-prime constant as a plain integer: GL_d over F_ell, or over Z/4Z when ell = 2."""
     if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+        raise ValidationError(f"{ell} is not prime")
     if ell == 2:
         return order_gl_z4_int(d)
     return order_gl_fq_int(ell, d)
@@ -46,9 +47,9 @@ def order_gl_fq(ell: int, d: int) -> FactoredInt:
     the full product is never expanded.
     """
     if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+        raise ValidationError(f"{ell} is not prime")
     if d < 0:
-        raise ValueError(f"dimension must be >= 0, got {d}")
+        raise ValidationError(f"dimension must be >= 0, got {d}")
     if d == 0:
         return FACTORED_ONE
     out = FactoredInt.from_dict({ell: d * (d - 1) // 2}) if d > 1 else FACTORED_ONE
@@ -66,7 +67,7 @@ def order_gl_z4(d: int) -> FactoredInt:
 def c_ell_d(ell: int, d: int) -> FactoredInt:
     """Per-prime constant, factored: dispatches to Z/4Z when ell = 2."""
     if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+        raise ValidationError(f"{ell} is not prime")
     if ell == 2:
         return order_gl_z4(d)
     return order_gl_fq(ell, d)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import monobound
 
 from monobound.chern_invariants import FamilySpec, invariants_of
 from monobound.cli import (
@@ -14,7 +20,7 @@ from monobound.cli import (
     invariants_to_json,
     main,
 )
-from monobound.compat_bounds import refined_bound
+from monobound.compat_bounds import DEFAULT_SCAN_DEPTH, refined_bound
 from monobound.variety_bounds import bound
 
 
@@ -45,7 +51,17 @@ def test_cld(capsys):
 def test_cld_rejects_composite(capsys):
     code, out = run_cli(capsys, "cld", "--ell", "4", "--d", "2")
     assert code == EXIT_VALIDATION
-    assert "error" in out
+    assert out["error"] == {"type": "ValidationError", "message": "4 is not prime"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("cd", "--d", "-1"), "dimension must be >= 0, got -1"),
+    (("refined", "--d", "2", "--p", "4"), "4 is not prime"),
+])
+def test_out_of_domain_arguments_are_validation_errors(capsys, argv, message):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_VALIDATION
+    assert out["error"] == {"type": "ValidationError", "message": message}
 
 
 def test_cd(capsys):
@@ -318,3 +334,33 @@ def test_scan_depth_below_two_is_a_validation_error(capsys):
     assert code == EXIT_VALIDATION
     assert out["error"] == {"type": "ValidationError",
                             "message": "scan_depth must be >= 2, got 1"}
+
+
+def test_scan_depth_default_is_the_library_default(capsys):
+    code, out = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    assert code == EXIT_OK
+    assert out["scan_depth"] == DEFAULT_SCAN_DEPTH
+    with pytest.raises(SystemExit):
+        main(["cd", "--help"])
+    # the help text names the default without importing compat_bounds
+    assert f"(default {DEFAULT_SCAN_DEPTH})" in " ".join(capsys.readouterr().out.split())
+
+
+def cli_env():
+    env = dict(os.environ)
+    src = str(Path(monobound.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to write_end now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "monobound.cli", "cld", "--ell", "3", "--d", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=cli_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr

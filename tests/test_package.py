@@ -1,0 +1,86 @@
+"""The package's public names, and which modules each entry point loads."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import monobound
+from test_cli import cli_env
+
+# runs BODY in a fresh interpreter, then prints the monobound modules it
+# loaded; only monobound.* names are compared, so `site` does not matter
+PROBE = """\
+import contextlib, io, json, sys
+{body}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "monobound")))
+"""
+
+
+def loaded_modules(body, stdin=""):
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(body=body)],
+                          input=stdin, capture_output=True, text=True,
+                          env=cli_env(), timeout=60, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def cli_modules(argv, stdin=""):
+    body = ("from monobound.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+    return loaded_modules(body, stdin)
+
+
+def test_import_monobound_loads_no_submodule():
+    assert loaded_modules("import monobound") == {"monobound"}
+
+
+def test_import_cli_loads_only_errors():
+    assert loaded_modules("import monobound.cli") == {
+        "monobound", "monobound.cli", "monobound.errors"}
+
+
+def test_cld_loads_no_unrelated_module():
+    loaded = cli_modules(["cld", "--ell", "3", "--d", "2"])
+    assert "monobound.group_orders" in loaded
+    assert not loaded & {"monobound.wd_matrix", "monobound.chern_invariants",
+                         "monobound.compat_bounds"}
+
+
+def test_wd_decompose_loads_no_unrelated_module():
+    matrix = json.dumps({"matrix": [["-1", "1"], ["0", "-1"]]})
+    loaded = cli_modules(["wd-decompose"], stdin=matrix)
+    assert "monobound.wd_matrix" in loaded
+    assert not loaded & {"monobound.compat_bounds", "monobound.variety_bounds",
+                         "monobound.chern_invariants", "monobound.group_orders"}
+
+
+def test_public_names_are_their_submodule_attributes():
+    assert len(monobound.__all__) == len(set(monobound.__all__))
+    for name in monobound.__all__:
+        obj = getattr(monobound, name)
+        assert obj.__module__.startswith("monobound.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    assert set(monobound.__all__) <= set(dir(monobound))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from monobound import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(monobound.__all__)
+    assert namespace["c_d"] is importlib.import_module("monobound.compat_bounds").c_d
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError):
+        monobound.no_such_name
+    with pytest.raises(ImportError):
+        from monobound import no_such_name  # noqa: F401
+
+
+def test_submodules_still_import_from_the_package():
+    from monobound import wd_matrix
+    assert wd_matrix.RationalMatrix is monobound.RationalMatrix
