@@ -19,10 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "numtheory": (
         "FactoredInt",
-        "PrimeIter",
-        "euler_phi",
         "factorize",
-        "gcd_factored",
         "is_prime",
         "phi_inverse_set",
         "valuation",
@@ -42,11 +39,9 @@ _EXPORTS = {
         "bound",
         "d_vector",
         "descend",
-        "euler_char_section",
     ),
     "chern_invariants": (
         "FamilySpec",
-        "TruncSeries",
         "betti_vector",
         "c_invariant",
         "chern_total_dual_cotangent",

@@ -3,87 +3,23 @@
 The supported families (projective spaces, smooth hypersurfaces, smooth
 complete intersections) all have cohomology generated in low degrees by
 the restricted hyperplane class h, so total Chern classes live in the
-rank-1 truncated polynomial ring Q[h]/(h^{n+1}) where n = dim X.  The
+truncated polynomial ring Z[h]/(h^{n+1}) where n = dim X.  The
 pushforward to a point evaluates the degree-n coefficient against the
 fundamental class: h^n integrates to deg(X).
 
-All arithmetic is exact rational; any invariant that fails to come out
-an integer is a convention bug and raises, never rounds.
+The total Chern class is (1+h)^{N+1} divided by one factor 1 + delta*h
+per equation.  Each factor has constant term 1, so every division is
+exact over Z and all arithmetic stays on integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Tuple
+from typing import List, Tuple
 
 from .errors import ValidationError
 from .variety_bounds import VarietyInvariants
-
-
-@dataclass(frozen=True)
-class TruncSeries:
-    """Polynomial in the hyperplane class, truncated above degree len(coeffs)-1."""
-
-    coeffs: Tuple[Fraction, ...]
-
-    @classmethod
-    def from_ints(cls, values, order: int) -> "TruncSeries":
-        padded = list(values)[: order + 1]
-        padded += [0] * (order + 1 - len(padded))
-        return cls(tuple(Fraction(v) for v in padded))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                out[i + j] += a * b
-        return TruncSeries(tuple(out))
-
-    def inverse(self) -> "TruncSeries":
-        a0 = self.coeffs[0]
-        if a0 == 0:
-            raise ValidationError("series with zero constant term is not invertible")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / a0
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc / a0
-        return TruncSeries(tuple(out))
-
-    def pow(self, e: int) -> "TruncSeries":
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        result = one(self.order)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if k <= self.order else Fraction(0)
-
-
-def one(order: int) -> TruncSeries:
-    return TruncSeries.from_ints([1], order)
-
-
-def binomial_series(scalar: int, exponent: int, order: int) -> TruncSeries:
-    """(1 + scalar*h)^exponent, truncated; exponent may be negative."""
-    return TruncSeries.from_ints([1, scalar], order).pow(exponent)
 
 
 PROJECTIVE_SPACE = "projective_space"
@@ -157,29 +93,31 @@ def section_of(spec: FamilySpec) -> FamilySpec:
     return FamilySpec(spec.kind, spec.n - 1, spec.degrees)
 
 
-def chern_total_dual_cotangent(spec: FamilySpec) -> TruncSeries:
-    """Total Chern class of the tangent sheaf, as a series in h.
+def _divide(series: List[int], delta: int) -> None:
+    """Divide a truncated series in h by 1 + delta*h, in place.
+
+    Exact over Z, since the divisor has constant term 1.
+    """
+    for k in range(1, len(series)):
+        series[k] -= delta * series[k - 1]
+
+
+def chern_total_dual_cotangent(spec: FamilySpec) -> Tuple[int, ...]:
+    """Total Chern class of the tangent sheaf: its coefficients [h^k], k = 0..n.
 
     From the Euler sequence and adjunction: (1+h)^{N+1} / prod(1 + delta*h)
     for a complete intersection of multidegree (delta_j) in P^N, truncated
     at dim X.
     """
-    series = binomial_series(1, spec.ambient_dim + 1, spec.n)
+    series = [math.comb(spec.ambient_dim + 1, k) for k in range(spec.n + 1)]
     for delta in spec.degrees:
-        series = series * binomial_series(delta, -1, spec.n)
-    return series
-
-
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ArithmeticError(f"{what} came out non-integral: {x}")
-    return int(x)
+        _divide(series, delta)
+    return tuple(series)
 
 
 def euler_characteristic(spec: FamilySpec) -> int:
     """Topological Euler characteristic: the top tangent Chern number."""
-    top = chern_total_dual_cotangent(spec).coefficient(spec.n)
-    return _as_int(spec.degree * top, "Euler characteristic")
+    return spec.degree * chern_total_dual_cotangent(spec)[spec.n]
 
 
 def c_invariant(spec: FamilySpec, i: int) -> int:
@@ -191,9 +129,10 @@ def c_invariant(spec: FamilySpec, i: int) -> int:
     """
     if not 1 <= i <= spec.n - 1:
         raise ValidationError(f"i must lie in 1..{spec.n - 1}, got {i}")
-    series = chern_total_dual_cotangent(spec) * binomial_series(1, -i, spec.n)
-    return _as_int(spec.degree * series.coefficient(spec.n - i),
-                   f"section characteristic c_{i}")
+    series = list(chern_total_dual_cotangent(spec))
+    for _ in range(i):
+        _divide(series, 1)
+    return spec.degree * series[spec.n - i]
 
 
 def betti_vector(spec: FamilySpec) -> Tuple[int, ...]:

@@ -19,8 +19,11 @@ for a family input; each also loads `numtheory`.  Building the parser
 imports no library module.
 
 Exit codes: 0 success, 1 stdout closed before the answer was written,
-2 validation error (mathematically inconsistent input), 3 unstable scan
-certificate, 4 malformed input (bad JSON or schema).
+2 validation error (mathematically inconsistent input) or usage error
+(an option argparse rejects), 3 unstable scan certificate, 4 malformed
+input (bad JSON or schema, including a non-integer where an integer is
+expected).  Every error prints an error object on stdout; a usage error
+prints it as JSON whatever --format says, and its usage text on stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import sys
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from . import __version__
-from .errors import UnstableCertificateError
+from .errors import UnstableCertificateError, ValidationError
 
 if TYPE_CHECKING:
     from .chern_invariants import FamilySpec
@@ -52,6 +55,15 @@ CACHE_ENV_VAR = "MONOBOUND_CACHE"
 
 class MalformedInputError(Exception):
     """Unparseable or schema-violating input payload (exit code 4)."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a JSON error object on stdout as well."""
+
+    def error(self, message):
+        print(json.dumps({"error": {"type": "UsageError", "message": message}},
+                         indent=2, sort_keys=True))
+        super().error(message)  # usage on stderr, exit 2
 
 
 # ---------------------------------------------------------------- serialization
@@ -98,12 +110,28 @@ def invariants_to_json(inv: VarietyInvariants) -> dict:
     return {"n": inv.n, "b": list(inv.b), "c": list(inv.c)}
 
 
+def _json_int(obj: dict, key: str, what: str) -> int:
+    value = obj[key]
+    if type(value) is not int:  # a JSON integer; bool is a subclass of int
+        raise MalformedInputError(
+            f"{what}.{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_int_array(obj: dict, key: str, what: str) -> Tuple[int, ...]:
+    values = obj[key]
+    if not isinstance(values, list) or any(type(x) is not int for x in values):
+        raise MalformedInputError(
+            f"{what}.{key} must be an array of integers, got {json.dumps(values)}")
+    return tuple(values)
+
+
 def invariants_from_json(obj: dict) -> VarietyInvariants:
     from .variety_bounds import VarietyInvariants
     try:
-        return VarietyInvariants(n=int(obj["n"]),
-                                 b=tuple(int(x) for x in obj["b"]),
-                                 c=tuple(int(x) for x in obj["c"]))
+        return VarietyInvariants(n=_json_int(obj, "n", "invariants"),
+                                 b=_json_int_array(obj, "b", "invariants"),
+                                 c=_json_int_array(obj, "c", "invariants"))
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"bad invariants object: {exc}") from exc
 
@@ -111,8 +139,9 @@ def invariants_from_json(obj: dict) -> VarietyInvariants:
 def family_from_json(obj: dict) -> FamilySpec:
     from .chern_invariants import FamilySpec
     try:
-        return FamilySpec(kind=obj["kind"], n=int(obj["n"]),
-                          degrees=tuple(int(x) for x in obj.get("degrees", ())))
+        return FamilySpec(kind=obj["kind"], n=_json_int(obj, "n", "family"),
+                          degrees=(_json_int_array(obj, "degrees", "family")
+                                   if "degrees" in obj else ()))
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"bad family object: {exc}") from exc
 
@@ -121,6 +150,9 @@ def matrix_from_json(obj) -> RationalMatrix:
     from fractions import Fraction
 
     from .wd_matrix import RationalMatrix
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise MalformedInputError("bad matrix payload: need an array of row "
+                                  f"arrays, got {json.dumps(obj)}")
     try:
         return RationalMatrix.from_rows(
             [[Fraction(str(x)) for x in row] for row in obj])
@@ -289,6 +321,8 @@ def cmd_invariants(args) -> dict:
 
 def cmd_descend(args) -> dict:
     from .variety_bounds import descend
+    if args.steps < 1:
+        raise ValidationError(f"steps must be >= 1, got {args.steps}")
     inv = _invariants_from_input(_read_input(args.input))
     chain = []
     for _ in range(args.steps):
@@ -342,7 +376,7 @@ def _render_table(obj: dict, indent: str = "") -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="monobound",
         description="Exact bounds on the index of unipotent local monodromy.")
     parser.add_argument("--version", action="version", version=__version__)

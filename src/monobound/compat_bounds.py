@@ -17,6 +17,7 @@ infinite gcd.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -28,10 +29,10 @@ from .errors import (
 )
 from .numtheory import (
     FactoredInt,
-    PrimeIter,
     factorize,
     is_prime,
     phi_inverse_set,
+    primes,
     valuation,
 )
 
@@ -110,7 +111,8 @@ def c_d(d: int, p: Optional[int] = None,
         raise ValidationError(f"scan_depth must be >= 2, got {scan_depth}")
     if p is not None and not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    scanned = PrimeIter(exclusions=(p,) if p is not None else ()).take(scan_depth)
+    scanned = list(itertools.islice((ell for ell in primes() if ell != p),
+                                    scan_depth))
     candidates = tuple(q for q in range(2, d + 2) if is_prime(q))
     # v_2 of the order depends only on ell mod 8; full coverage of the odd
     # residue classes certifies the minimum

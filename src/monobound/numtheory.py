@@ -1,9 +1,9 @@
 """Exact integer primitives.
 
 Deterministic primality (64-bit range), factorization by trial division
-plus Brent-cycle Pollard rho, factored nonnegative integers, Euler's
-totient and the enumeration of its inverse image, p-adic valuations, and
-an excluding prime iterator.
+plus Brent-cycle Pollard rho, factored nonnegative integers, an
+unbounded prime generator, the enumeration of {i : phi(i) <= d}, and
+p-adic valuations.
 
 Everything here is pure and exact; FactoredInt is immutable and safe to
 share between threads.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Tuple
 
 # Deterministic Miller-Rabin witness set for n < 2^64 (Sinclair / Jaeschke).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -189,19 +189,6 @@ class FactoredInt:
         e = self.valuation(q)
         return FactoredInt(((q, e),)) if e else FactoredInt()
 
-    def gcd(self, other: "FactoredInt") -> "FactoredInt":
-        out = {}
-        mine = self.as_dict()
-        for p, e in other.factors:
-            m = min(mine.get(p, 0), e)
-            if m:
-                out[p] = m
-        return FactoredInt.from_dict(out)
-
-    def divides(self, other: "FactoredInt") -> bool:
-        theirs = other.as_dict()
-        return all(theirs.get(p, 0) >= e for p, e in self.factors)
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
@@ -209,11 +196,6 @@ class FactoredInt:
 
 
 FACTORED_ONE = FactoredInt()
-
-
-def gcd_factored(a: FactoredInt, b: FactoredInt) -> FactoredInt:
-    """Keywise minimum of exponents; agrees with the Euclidean gcd of values."""
-    return a.gcd(b)
 
 
 def primes() -> Iterator[int]:
@@ -232,43 +214,6 @@ def primes() -> Iterator[int]:
                 m += step
             composites[m] = step
         n += 2
-
-
-class PrimeIter:
-    """Increasing prime iterator that skips an exclusion set.
-
-    Used as the index set of gcd scans over primes distinct from the
-    residue characteristic.
-    """
-
-    def __init__(self, exclusions: Optional[Iterable[int]] = None):
-        self.exclusions: Set[int] = set(exclusions or ())
-        for p in self.exclusions:
-            if not is_prime(p):
-                raise ValueError(f"exclusion {p} is not prime")
-        self._gen = primes()
-
-    def __iter__(self) -> "PrimeIter":
-        return self
-
-    def __next__(self) -> int:
-        p = next(self._gen)
-        while p in self.exclusions:
-            p = next(self._gen)
-        return p
-
-    def take(self, count: int) -> List[int]:
-        return [next(self) for _ in range(count)]
-
-
-def euler_phi(i: int) -> int:
-    """Count of units mod i, from the factorization of i."""
-    if i < 1:
-        raise ValueError(f"euler_phi needs i >= 1, got {i}")
-    phi = 1
-    for p, e in factorize(i).items():
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
 
 
 def phi_inverse_set(d: int) -> List[int]:
@@ -300,12 +245,10 @@ def phi_inverse_set(d: int) -> List[int]:
     return sorted(found)
 
 
-def valuation(n: Union[int, FactoredInt], q: int) -> int:
+def valuation(n: int, q: int) -> int:
     """Exact q-adic valuation of n >= 1 for a prime q."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    if isinstance(n, FactoredInt):
-        return n.valuation(q)
     if n < 1:
         raise ValueError(f"valuation needs n >= 1, got {n}")
     v = 0

@@ -23,9 +23,8 @@ from .numtheory import FACTORED_ONE, FactoredInt
 class VarietyInvariants:
     """Dimension n, Betti vector b (indices 1..n), section characteristics c (1..n-1).
 
-    b_0 = 1 is implicit throughout (geometric connectedness); the full
-    Betti vector in degrees 0..2n is reconstructed on demand by Poincare
-    duality b_{2n-i} = b_i.
+    b_0 = 1 is implicit throughout (geometric connectedness); the Betti
+    numbers above degree n follow by Poincare duality b_{2n-i} = b_i.
     """
 
     n: int
@@ -44,15 +43,6 @@ class VarietyInvariants:
         for i, bi in enumerate(self.b, start=1):
             if bi < 0:
                 raise ValidationError(f"b_{i} = {bi} is negative")
-
-    def full_betti(self) -> Tuple[int, ...]:
-        """Betti numbers in degrees 0..2n, expanded by duality."""
-        lower = (1,) + self.b
-        upper = tuple(lower[self.n - k] for k in range(1, self.n + 1))
-        return lower + upper
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * bi for i, bi in enumerate(self.full_betti()))
 
 
 @dataclass(frozen=True)
@@ -110,19 +100,6 @@ def bound(inv: VarietyInvariants, p: int, h: Optional[int] = None,
         product = product * value
     return BoundReport(d_vector=dv, factors=tuple(factors),
                        product=product, certificates=tuple(certs))
-
-
-def euler_char_section(inv: VarietyInvariants, j: int) -> int:
-    """Euler characteristic of a j-fold hyperplane section.
-
-    j = 0 is the variety itself (expanded by duality); 1 <= j <= n-1 is
-    read off the stored c vector.
-    """
-    if j == 0:
-        return inv.euler_characteristic()
-    if not 1 <= j <= inv.n - 1:
-        raise ValidationError(f"section index must lie in 0..{inv.n - 1}, got {j}")
-    return inv.c[j - 1]
 
 
 def descend(inv: VarietyInvariants) -> VarietyInvariants:

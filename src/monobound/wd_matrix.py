@@ -194,10 +194,6 @@ class RationalMatrix:
             p.append(pm)
         return p[d]
 
-    def det(self) -> Fraction:
-        p0 = self.char_poly()[0]
-        return p0 if self.dim % 2 == 0 else -p0
-
 
 # polynomial helpers over Fraction coefficients, low-to-high
 

@@ -1,12 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from monobound.chern_invariants import (
     FamilySpec,
-    TruncSeries,
     betti_vector,
-    binomial_series,
     c_invariant,
     chern_total_dual_cotangent,
     complete_intersection,
@@ -37,24 +36,16 @@ def chi_by_betti(spec):
     return sum((-1) ** i * bi for i, bi in enumerate(full))
 
 
-def test_series_arithmetic():
-    s = TruncSeries.from_ints([1, 1], 3)
-    assert (s * s).coeffs == tuple(map(Fraction, (1, 2, 1, 0)))
-    assert s.pow(3).coeffs == tuple(map(Fraction, (1, 3, 3, 1)))
-
-
-def test_series_inversion_exactness():
-    for delta in range(1, 21):
-        for order in range(1, 11):
-            s = binomial_series(delta, 1, order)
-            product = s * s.inverse()
-            assert product.coeffs[0] == 1
-            assert all(c == 0 for c in product.coeffs[1:])
-
-
-def test_series_inverse_requires_unit():
-    with pytest.raises(ValidationError):
-        TruncSeries.from_ints([0, 1], 2).inverse()
+def rational_chern_series(spec):
+    """(1+h)^(N+1) times the geometric series 1/(1 + delta*h) = sum (-delta*h)^k
+    of each degree, multiplied out over Fraction and truncated at h^n."""
+    n = spec.n
+    series = [Fraction(math.comb(spec.ambient_dim + 1, k)) for k in range(n + 1)]
+    for delta in spec.degrees:
+        inverse = [Fraction(-delta) ** k for k in range(n + 1)]
+        series = [sum(series[i] * inverse[k - i] for i in range(k + 1))
+                  for k in range(n + 1)]
+    return series
 
 
 def test_family_validation():
@@ -71,12 +62,22 @@ def test_family_validation():
 
 
 def test_tangent_chern_series_examples():
-    assert chern_total_dual_cotangent(projective_space(2)).coeffs == \
-        tuple(map(Fraction, (1, 3, 3)))
-    assert chern_total_dual_cotangent(hypersurface(2, 4)).coeffs == \
-        tuple(map(Fraction, (1, 0, 6)))
-    assert chern_total_dual_cotangent(hypersurface(2, 2)).coeffs == \
-        tuple(map(Fraction, (1, 2, 2)))
+    assert chern_total_dual_cotangent(projective_space(2)) == (1, 3, 3)
+    assert chern_total_dual_cotangent(hypersurface(2, 4)) == (1, 0, 6)
+    assert chern_total_dual_cotangent(hypersurface(2, 2)) == (1, 2, 2)
+
+
+def test_tangent_chern_series_matches_rational_oracle():
+    # the in-place integer division against multiplying out the rational
+    # geometric series, up to the octic sixfold and degree-8 hypersurfaces
+    specs = all_test_families()
+    specs += [hypersurface(n, delta) for n in range(5, 8) for delta in range(1, 9)]
+    specs += [complete_intersection(n, degrees) for n in range(1, 6)
+              for degrees in ((2, 2, 2), (2, 2, 3), (2, 3, 4))]
+    for spec in specs:
+        series = chern_total_dual_cotangent(spec)
+        assert all(type(c) is int for c in series)
+        assert list(series) == rational_chern_series(spec)
 
 
 def test_c_invariant_projective_space():

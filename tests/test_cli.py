@@ -329,6 +329,65 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("invariants", "--scan-depth", "5"), "unrecognized arguments: --scan-depth 5"),
+    (("variety-bound",), "the following arguments are required: --p"),
+    (("cld", "--ell", "3", "--d", "two"), "argument --d: invalid int value: 'two'"),
+])
+def test_usage_errors_print_a_json_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert json.loads(captured.out) == {
+        "error": {"type": "UsageError", "message": message}}
+    assert captured.err.startswith("usage: monobound")
+    assert f"error: {message}" in captured.err
+
+
+def test_help_and_version_print_no_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{monobound.__version__}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["cld", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: monobound cld") and "error" not in out
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (("variety-bound", "--p", "7"),
+     {"invariants": {"n": 2, "b": [0, 22.9], "c": [-4.7]}},
+     "invariants.b must be an array of integers, got [0, 22.9]"),
+    (("descend",), {"invariants": {"n": 2, "b": [0, 22], "c": ["-4"]}},
+     'invariants.c must be an array of integers, got ["-4"]'),
+    (("invariants",), {"family": {"kind": "hypersurface", "n": 2.9, "degrees": [4]}},
+     "family.n must be an integer, got 2.9"),
+    (("invariants",), {"family": {"kind": "hypersurface", "n": True, "degrees": [4]}},
+     "family.n must be an integer, got true"),
+    (("invariants",), {"family": {"kind": "hypersurface", "n": 2, "degrees": "4"}},
+     'family.degrees must be an array of integers, got "4"'),
+    (("wd-decompose",), {"matrix": ["12", "34"]},
+     'bad matrix payload: need an array of row arrays, got ["12", "34"]'),
+])
+def test_non_integer_payloads_are_malformed(capsys, tmp_path, argv, payload, message):
+    path = write_input(tmp_path, payload)
+    code, out = run_cli(capsys, *argv, "--input", path)
+    assert code == EXIT_MALFORMED
+    assert out["error"] == {"type": "MalformedInput", "message": message}
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_descend_steps_below_one_is_a_validation_error(capsys, tmp_path, steps):
+    path = write_input(tmp_path, {"family": {"kind": "projective_space", "n": 3}})
+    code, out = run_cli(capsys, "descend", "--input", path, "--steps", steps)
+    assert code == EXIT_VALIDATION
+    assert out["error"] == {"type": "ValidationError",
+                            "message": f"steps must be >= 1, got {steps}"}
+
+
 def test_scan_depth_below_two_is_a_validation_error(capsys):
     code, out = run_cli(capsys, "cd", "--d", "2", "--p", "7", "--scan-depth", "1")
     assert code == EXIT_VALIDATION

@@ -6,10 +6,7 @@ from hypothesis import strategies as st
 
 from monobound.numtheory import (
     FactoredInt,
-    PrimeIter,
-    euler_phi,
     factorize,
-    gcd_factored,
     is_prime,
     phi_inverse_set,
     primes,
@@ -74,19 +71,6 @@ def test_factored_int_rejects_bad_factors():
         FactoredInt(((3, 1), (2, 1)))  # unsorted
 
 
-@given(st.integers(min_value=1, max_value=10_000),
-       st.integers(min_value=1, max_value=10_000))
-def test_gcd_factored_matches_euclid(a, b):
-    fa, fb = FactoredInt.from_int(a), FactoredInt.from_int(b)
-    assert gcd_factored(fa, fb).value() == math.gcd(a, b)
-
-
-def test_gcd_with_unit():
-    x = FactoredInt.from_int(360)
-    assert gcd_factored(x, FactoredInt()).value() == 1
-    assert gcd_factored(FactoredInt.from_int(96), FactoredInt.from_int(48)).value() == 48
-
-
 @given(st.integers(min_value=1, max_value=5_000),
        st.integers(min_value=1, max_value=5_000))
 @settings(max_examples=50)
@@ -95,22 +79,8 @@ def test_factored_mul(a, b):
     assert prod.value() == a * b
 
 
-def test_euler_phi_examples():
-    assert euler_phi(1) == 1
-    assert euler_phi(12) == 4
-    assert euler_phi(9) == 6
-
-
-def test_euler_phi_rejects_zero():
-    with pytest.raises(ValueError):
-        euler_phi(0)
-
-
-def test_euler_phi_brute_force():
+def test_totient_sieve_matches_gcd_count():
     sieve = totient_sieve(5000)
-    for i in range(1, 5001):
-        assert euler_phi(i) == sieve[i]
-    # the sieve itself against the gcd count, on a sample
     for i in list(range(1, 200)) + [720, 1024, 2310, 4999, 5000]:
         assert sieve[i] == brute_phi(i)
 
@@ -139,29 +109,22 @@ def test_phi_inverse_set_matches_sieve():
 
 def test_phi_inverse_set_enumeration_bound():
     # exactly the i <= 2d^2 with phi(i) <= d, and nothing hides in (2d^2, 4d^2]
+    phi = totient_sieve(4 * 20 * 20)
     for d in range(1, 21):
-        expected = [i for i in range(1, 2 * d * d + 1) if euler_phi(i) <= d]
+        expected = [i for i in range(1, 2 * d * d + 1) if phi[i] <= d]
         assert phi_inverse_set(d) == expected
-        assert all(euler_phi(i) > d
-                   for i in range(2 * d * d + 1, 4 * d * d + 1))
+        assert all(phi[i] > d for i in range(2 * d * d + 1, 4 * d * d + 1))
 
 
 def test_valuation():
     assert valuation(48, 2) == 4
     assert valuation(48, 5) == 0
     assert valuation(96, 3) == 1
-    assert valuation(FactoredInt.from_int(96), 2) == 5
+    assert FactoredInt.from_int(96).valuation(2) == 5
     with pytest.raises(ValueError):
         valuation(0, 2)
     with pytest.raises(ValueError):
         valuation(10, 4)
-
-
-def test_prime_iter_exclusions():
-    it = PrimeIter(exclusions={5})
-    assert it.take(6) == [2, 3, 7, 11, 13, 17]
-    with pytest.raises(ValueError):
-        PrimeIter(exclusions={6})
 
 
 def test_primes_increasing():

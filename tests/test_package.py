@@ -57,6 +57,17 @@ def test_wd_decompose_loads_no_unrelated_module():
                          "monobound.chern_invariants", "monobound.group_orders"}
 
 
+def test_family_invariants_loads_no_fractions():
+    family = json.dumps({"family": {"kind": "hypersurface", "n": 3, "degrees": [5]}})
+    body = ("from monobound.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['invariants']) == 0\n"
+            "assert 'fractions' not in sys.modules, 'fractions was loaded'")
+    loaded = loaded_modules(body, stdin=family)
+    assert "monobound.chern_invariants" in loaded
+    assert "monobound.wd_matrix" not in loaded
+
+
 def test_public_names_are_their_submodule_attributes():
     assert len(monobound.__all__) == len(set(monobound.__all__))
     for name in monobound.__all__:

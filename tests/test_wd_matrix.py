@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genmatrices import (
     random_non_quasi_unipotent,
@@ -10,6 +12,7 @@ from genmatrices import (
     random_unimodular,
 )
 from monobound import wd_matrix
+from monobound.compat_bounds import c_d, refined_bound
 from monobound.errors import (
     InvariantViolationError,
     NotNilpotentError,
@@ -42,7 +45,7 @@ def test_matrix_basics():
     assert ident * ident == ident
     assert ROTATION.power(4).is_identity()
     assert ROTATION.trace() == 0
-    assert RM([[2, 0], [0, 3]]).det() == 6
+    assert RM([[2, 0], [0, 3]]).char_poly() == [6, -5, 1]
     assert RM([[1, 2], [3, 4]]).char_poly() == \
         [Fraction(-2), Fraction(-5), Fraction(1)]
     with pytest.raises(ValueError):
@@ -384,3 +387,17 @@ def test_semisimple_order_divides_totient_lcm():
     assert semisimple_order(ROTATION) == 4
     with pytest.raises(PreconditionViolatedError):
         semisimple_order(RM([[2, 0], [0, 2]]))
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=1, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_semisimple_order_divides_c_d_and_tame_lcm(seed, d):
+    # the finite-order part generates a finite subgroup of GL_d(Q) of that
+    # order, so the order divides Minkowski's bound c_d(d, p), and it is
+    # the lcm of orders i with phi(i) <= d, so it divides tame_lcm
+    M, _ = random_quasi_unipotent(random.Random(seed), d)
+    order = semisimple_order(M)
+    for p in (2, 3, 5):
+        assert c_d(d, p)[0].value() % order == 0
+        assert refined_bound(d, p).tame_lcm % order == 0
