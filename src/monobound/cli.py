@@ -139,7 +139,11 @@ def invariants_from_json(obj: dict) -> VarietyInvariants:
 def family_from_json(obj: dict) -> FamilySpec:
     from .chern_invariants import FamilySpec
     try:
-        return FamilySpec(kind=obj["kind"], n=_json_int(obj, "n", "family"),
+        kind = obj["kind"]
+        if not isinstance(kind, str):
+            raise MalformedInputError(
+                f"family.kind must be a string, got {json.dumps(kind)}")
+        return FamilySpec(kind=kind, n=_json_int(obj, "n", "family"),
                           degrees=(_json_int_array(obj, "degrees", "family")
                                    if "degrees" in obj else ()))
     except (KeyError, TypeError) as exc:
@@ -153,9 +157,14 @@ def matrix_from_json(obj) -> RationalMatrix:
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise MalformedInputError("bad matrix payload: need an array of row "
                                   f"arrays, got {json.dumps(obj)}")
+    bad = [x for row in obj for x in row
+           if type(x) is not int and not isinstance(x, str)]  # floats, bools, ...
+    if bad:
+        raise MalformedInputError("bad matrix payload: entries must be integers "
+                                  f"or strings, got {json.dumps(bad[0])}")
     try:
         return RationalMatrix.from_rows(
-            [[Fraction(str(x)) for x in row] for row in obj])
+            [[Fraction(x) for x in row] for row in obj])
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad matrix payload: {exc}") from exc
 

@@ -6,13 +6,15 @@ come from small integers by lifting the exponent (LTE): with e the order
 of ell mod q, v_q(ell^i - 1) = v_q(ell^e - 1) + v_q(i/e) when e | i.
 
 The gcd runs over an infinite index set, so a finite scan alone proves
-nothing.  The scan therefore carries a certificate: for every odd
-candidate q the minimal valuation over all primes ell is attained
-whenever ell is a primitive root modulo q^2, which makes e maximal and
-v_q(ell^e - 1) = 1.  For q = 2 the valuation depends only on ell mod 8,
-so covering all four odd residue classes mod 8 certifies the minimum.  A
-scan whose witnesses satisfy these conditions has provably reached the
-infinite gcd.
+nothing; each candidate needs a witness.  For odd q the minimal
+valuation over all primes ell is attained at any primitive root ell mod
+q^2, which makes e = q - 1 maximal and v_q(ell^e - 1) = 1, so it is
+k + v_q(k!) with k = floor(d / (q - 1)) (Minkowski's bound; Serre 2007).
+c_d reads the exponent from that closed form at the first scanned
+primitive root; a q without one falls back to the minimum over the scan
+and leaves the certificate unstable.  For q = 2 the valuation depends
+only on ell mod 8, so covering all four odd residue classes mod 8
+certifies the minimum.
 """
 
 from __future__ import annotations
@@ -22,11 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import (
-    InvariantViolationError,
-    UnstableCertificateError,
-    ValidationError,
-)
+from .errors import UnstableCertificateError, ValidationError
 from .numtheory import (
     FactoredInt,
     factorize,
@@ -65,11 +63,6 @@ def _order_mod(a: int, q: int) -> int:
     return order
 
 
-def _is_primitive_root_mod_q2(ell: int, q: int) -> bool:
-    # a primitive root mod q is one mod q^2 unless ell^(q-1) = 1 mod q^2
-    return ell != q and _order_mod(ell, q) == q - 1 and pow(ell, q - 1, q * q) != 1
-
-
 def _v_factorial(k: int, q: int) -> int:
     # Legendre's formula
     v = 0
@@ -100,10 +93,12 @@ def c_d(d: int, p: Optional[int] = None,
         scan_depth: int = DEFAULT_SCAN_DEPTH) -> Tuple[FactoredInt, ScanCertificate]:
     """Gcd of the per-prime constants over the first scan_depth primes != p.
 
-    Candidates are the primes q <= d + 1, valuations come from LTE.  When
-    the returned certificate is stable the value equals the true gcd over
-    all primes distinct from p.  An unstable certificate is reported as
-    such, never silently passed off as certified.
+    Candidates are the primes q <= d + 1.  An odd q takes k + v_q(k!)
+    from its first scanned primitive root mod q^2; q = 2, and a q without
+    such a root, take the least LTE valuation over the scan.  A stable
+    certificate proves the value is the true gcd over all primes
+    distinct from p; an unstable one is reported, never passed off as
+    certified.
     """
     if d < 0:
         raise ValidationError(f"dimension must be >= 0, got {d}")
@@ -113,27 +108,26 @@ def c_d(d: int, p: Optional[int] = None,
         raise ValidationError(f"{p} is not prime")
     scanned = list(itertools.islice((ell for ell in primes() if ell != p),
                                     scan_depth))
-    candidates = tuple(q for q in range(2, d + 2) if is_prime(q))
+    candidates = tuple(itertools.takewhile(lambda q: q <= d + 1, primes()))
     # v_2 of the order depends only on ell mod 8; full coverage of the odd
     # residue classes certifies the minimum
     stable = d == 0 or {1, 3, 5, 7} <= {ell % 8 for ell in scanned}
     exponents, witnesses = {}, {}
     for q in candidates:
+        if q > 2:
+            rs = factorize(q - 1)
+            # a primitive root mod q is one mod q^2 unless ell^(q-1) = 1 mod q^2
+            root = next((ell for ell in scanned if ell != q
+                         and all(pow(ell, (q - 1) // r, q) != 1 for r in rs)
+                         and pow(ell, q - 1, q * q) != 1), None)
+            if root is not None:
+                k = d // (q - 1)
+                exponents[q], witnesses[q] = k + _v_factorial(k, q), root
+                continue
+            stable = False
         v = {ell: _order_valuation(ell, q, d) for ell in scanned}
         v_min = exponents[q] = min(v.values())
         witnesses[q] = next(ell for ell in scanned if v[ell] == v_min)
-        if q == 2:
-            continue
-        root = next((ell for ell in scanned if _is_primitive_root_mod_q2(ell, q)), None)
-        if root is None:
-            stable = False
-        elif v[root] != v_min:
-            # a primitive root attains the global minimum
-            raise InvariantViolationError(
-                f"primitive root {root} mod {q}^2 misses the minimal "
-                f"{q}-valuation {v_min} of c_{d}")
-        else:
-            witnesses[q] = root
 
     cert = ScanCertificate(
         d=d,
@@ -157,8 +151,6 @@ def c_d_stable(d: int, p: Optional[int] = None,
 
 def p_part_c_d(d: int, p: int, scan_depth: int = DEFAULT_SCAN_DEPTH) -> FactoredInt:
     """p-part of the certified gcd taken over primes ell != p."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
     value, _ = c_d_stable(d, p, scan_depth)
     return value.p_part(p)
 

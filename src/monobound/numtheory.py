@@ -1,9 +1,9 @@
 """Exact integer primitives.
 
 Deterministic primality (64-bit range), factorization by trial division
-plus Brent-cycle Pollard rho, factored nonnegative integers, an
-unbounded prime generator, the enumeration of {i : phi(i) <= d}, and
-p-adic valuations.
+plus Brent-cycle Pollard rho (which also splits composite cofactors
+beyond 2^64), factored nonnegative integers, an unbounded prime
+generator, the enumeration of {i : phi(i) <= d}, and p-adic valuations.
 
 Everything here is pure and exact; FactoredInt is immutable and safe to
 share between threads.
@@ -14,14 +14,38 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 # Deterministic Miller-Rabin witness set for n < 2^64 (Sinclair / Jaeschke).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 PRIMALITY_LIMIT = 2 ** 64
 
+# Iterations of the rho map spent on one composite cofactor >= 2^64
+# before factorize gives up on it.
+RHO_MAX_STEPS = 1 << 20
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _strong_probable_prime(n: int, bases: Tuple[int, ...]) -> bool:
+    """Miller-Rabin rounds for odd n > max(bases): False proves n composite."""
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_prime(n: int) -> bool:
@@ -39,33 +63,25 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return _strong_probable_prime(n, _MR_BASES)
 
 
-def _pollard_rho(n: int) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n."""
+def _pollard_rho(n: int, max_steps: Optional[int] = None) -> Optional[int]:
+    """Brent-cycle Pollard rho: a nontrivial factor of composite odd n.
+
+    Returns None once more than max_steps iterations of the map have run
+    without a split (never, when max_steps is None).
+    """
     if n % 2 == 0:
         return 2
     x0, c, m = 2, 1, 128
+    steps = 0
     while True:
         y, r, q = x0, 1, 1
         g = 1
         while g == 1:
+            if max_steps is not None and steps > max_steps:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -77,6 +93,7 @@ def _pollard_rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            steps += 2 * r
             r *= 2
         if g == n:
             g = 1
@@ -91,9 +108,10 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> Dict[int, int]:
     """Full prime factorization of n >= 1 as {prime: exponent}.
 
-    Every reported prime is certified by the deterministic test, so any
-    cofactor whose primality cannot be decided (>= 2**64) raises rather
-    than being accepted on faith.
+    Every reported prime is certified by the deterministic test, so a
+    cofactor at or above 2**64 is only split, never accepted: one that
+    passes a base-2 strong-probable-prime round, or that Pollard rho
+    cannot split within RHO_MAX_STEPS iterations, raises.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
@@ -114,14 +132,18 @@ def factorize(n: int) -> Dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if m >= PRIMALITY_LIMIT:
-            # is_prime would raise anyway; make the failure mode explicit
-            raise ValueError(
-                f"cofactor {m} exceeds the deterministic primality range")
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
+        if m < PRIMALITY_LIMIT:
+            if is_prime(m):
+                factors[m] = factors.get(m, 0) + 1
+                continue
+            d = _pollard_rho(m)
+        else:
+            # a failed round proves m composite; a probable prime stays undecided
+            d = (None if _strong_probable_prime(m, (2,))
+                 else _pollard_rho(m, RHO_MAX_STEPS))
+            if d is None:
+                raise ValueError(
+                    f"cofactor {m} exceeds the deterministic primality range")
         stack.append(d)
         stack.append(m // d)
     return factors

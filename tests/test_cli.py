@@ -187,6 +187,12 @@ def test_wd_decompose(capsys, tmp_path):
     code, out = run_cli(capsys, "wd-decompose", "--input", path, "--tau", "2")
     assert out["n"] == [["0", "1"], ["0", "0"]]
 
+    # JSON integer entries read like their strings
+    path = write_input(tmp_path, {"matrix": [[1, 2], [0, 1]]})
+    code, out = run_cli(capsys, "wd-decompose", "--input", path, "--tau", "2")
+    assert code == EXIT_OK
+    assert out["n"] == [["0", "1"], ["0", "0"]]
+
 
 def test_wd_decompose_rational_entries(capsys, tmp_path):
     path = write_input(tmp_path, {"matrix": [["1", "1/2"], ["0", "1"]]})
@@ -371,6 +377,10 @@ def test_help_and_version_print_no_error(capsys):
      'family.degrees must be an array of integers, got "4"'),
     (("wd-decompose",), {"matrix": ["12", "34"]},
      'bad matrix payload: need an array of row arrays, got ["12", "34"]'),
+    (("wd-decompose",), {"matrix": [[0.5, 0], [0, 2]]},
+     "bad matrix payload: entries must be integers or strings, got 0.5"),
+    (("invariants",), {"family": {"kind": 5, "n": 2}},
+     "family.kind must be a string, got 5"),
 ])
 def test_non_integer_payloads_are_malformed(capsys, tmp_path, argv, payload, message):
     path = write_input(tmp_path, payload)

@@ -89,17 +89,68 @@ def test_scan_monotone_and_stable_across_depths():
             assert cert_small.stable and cert_big.stable
 
 
+def q_valuation(n, q):
+    v = 0
+    while n % q == 0:
+        n //= q
+        v += 1
+    return v
+
+
+def smooth_part(n, bound):
+    """The part of n >= 1 made of the primes <= bound."""
+    out = 1
+    for q in range(2, bound + 1):
+        while n % q == 0:
+            n //= q
+            out *= q
+    return out
+
+
 def test_c_d_divides_every_scanned_term():
-    # the gcd of the expanded orders is the oracle for the LTE valuations
-    for d in range(0, 13):
-        value, cert = c_d(d, 7)
-        v = value.value()
-        g = 0
-        for ell in scanned_primes(7, cert.primes_scanned):
-            order = c_ell_d_int(ell, d)
-            assert order % v == 0
-            g = math.gcd(g, order)
-        assert v == g
+    # the gcd of the expanded orders is the oracle for the witness
+    # exponents and the LTE valuations, certified or not
+    for p in (None, 2, 3, 5, 7, 11):
+        for depth in (2, 3, 5, 100):
+            for d in range(0, 13):
+                value, cert = c_d(d, p, depth)
+                v = value.value()
+                g = 0
+                for ell in scanned_primes(p, depth):
+                    order = c_ell_d_int(ell, d)
+                    assert order % v == 0
+                    g = math.gcd(g, order)
+                assert v == smooth_part(g, d + 1)
+
+
+def is_primitive_root_mod_q2(ell, q):
+    """Brute force: the order of ell mod q^2 is phi(q^2) = q (q - 1)."""
+    x, order = ell % (q * q), 1
+    if x % q == 0:
+        return False
+    while x != 1:
+        x = x * ell % (q * q)
+        order += 1
+    return order == q * (q - 1)
+
+
+def test_stable_witnesses_are_primitive_roots_attaining_the_minimum():
+    # the theorem behind the certificate, checked on the scanned orders:
+    # a primitive root mod q^2 attains the minimal q-valuation
+    for p in (None, 5):
+        scan = scanned_primes(p, 100)
+        for d in range(1, 61):
+            value, cert = c_d(d, p)
+            assert cert.stable
+            orders = {ell: c_ell_d_int(ell, d) for ell in scan}
+            g = math.gcd(*orders.values())
+            for q, witness in cert.witnesses:
+                v_min = q_valuation(g, q)  # the minimum over the scan
+                assert orders[witness] % q ** v_min == 0
+                assert orders[witness] % q ** (v_min + 1) != 0
+                assert value.valuation(q) == v_min
+                if q > 2:
+                    assert is_primitive_root_mod_q2(witness, q)
 
 
 def test_c_d_independent_of_excluded_p_beyond_five():
@@ -144,6 +195,23 @@ def test_unstable_scan_is_reported_not_hidden():
     assert not cert.stable
     assert cert.candidate_primes_q == (2, 3, 5, 7, 11)
     assert value.valuation(23) == 0
+    # 2, ..., 17 cover the odd residues mod 8 but hold no primitive root
+    # mod 191 (the least is 19): q = 191 falls back to the scanned minimum
+    d, depth = 190, 7
+    value, cert = c_d(d, None, scan_depth=depth)
+    assert not cert.stable
+    assert 191 in cert.candidate_primes_q
+    g = math.gcd(*(c_ell_d_int(ell, d) for ell in scanned_primes(None, depth)))
+    assert value.value() == smooth_part(g, d + 1)
+
+
+def test_witness_is_a_primitive_root_mod_q_squared():
+    # 11 is a primitive root mod 71 but 11^70 = 1 mod 71^2, so once p = 7
+    # is out of the scan the witness of q = 71 is 13, not 11
+    assert is_primitive_root_mod_q2(13, 71) and not is_primitive_root_mod_q2(11, 71)
+    value, cert = c_d(70, 7)
+    assert dict(cert.witnesses)[71] == 13
+    assert value.valuation(71) == 1
 
 
 def test_scan_depth_validation():

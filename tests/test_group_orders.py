@@ -78,6 +78,16 @@ def test_c_ell_d_dispatch():
             assert c_ell_d(ell, d).value() == c_ell_d_int(ell, d)
 
 
+def test_c_ell_d_beyond_the_primality_range():
+    # the first ell^i - 1 of each ell with a composite cofactor >= 2^64
+    for ell, d in ((11, 23), (3, 46), (5, 37), (7, 29), (13, 19)):
+        assert c_ell_d(ell, d).value() == c_ell_d_int(ell, d)
+    # 5^43 - 1 and 13^23 - 1 have a prime factor >= 2^64
+    for ell, d in ((5, 47), (13, 23)):
+        with pytest.raises(ValueError, match="deterministic primality range"):
+            c_ell_d(ell, d)
+
+
 def test_c_ell_d_rejects_composite():
     with pytest.raises(ValueError):
         c_ell_d(4, 2)

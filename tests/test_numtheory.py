@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monobound import numtheory
 from monobound.numtheory import (
     FactoredInt,
     factorize,
@@ -49,6 +50,28 @@ def test_factorize_round_trip():
         f = factorize(n)
         assert math.prod(p ** e for p, e in f.items()) == n
         assert all(is_prime(p) for p in f)
+
+
+def test_factorize_splits_composites_beyond_the_primality_range():
+    # 11^23 - 1 = 2 * 5 * 829 * 28878847 * 3740221981231: its cofactor
+    # after trial division is a composite >= 2^64
+    n = 11 ** 23 - 1
+    assert factorize(n) == {2: 1, 5: 1, 829: 1, 28878847: 1, 3740221981231: 1}
+    p, q = 2 ** 61 - 1, 2 ** 31 - 1
+    assert p * q >= 2 ** 64
+    assert factorize(3 * p * q) == {3: 1, q: 1, p: 1}
+
+
+def test_factorize_refuses_undecided_cofactors(monkeypatch):
+    message = "exceeds the deterministic primality range"
+    # a probable prime >= 2^64 is never reported as prime
+    with pytest.raises(ValueError, match=message):
+        factorize(2 ** 89 - 1)
+    # a composite that rho cannot split within the cap is refused too
+    p, q = 2 ** 61 - 1, 2 ** 31 - 1
+    monkeypatch.setattr(numtheory, "RHO_MAX_STEPS", 1)
+    with pytest.raises(ValueError, match=message):
+        factorize(p * q)
 
 
 def test_factorize_rejects_zero():
