@@ -22,8 +22,10 @@ Exit codes: 0 success, 1 stdout closed before the answer was written,
 2 validation error (mathematically inconsistent input) or usage error
 (an option argparse rejects), 3 unstable scan certificate, 4 malformed
 input (bad JSON or schema, including a non-integer where an integer is
-expected).  Every error prints an error object on stdout; a usage error
-prints it as JSON whatever --format says, and its usage text on stderr.
+expected), 5 undecided factorization (a cofactor at or above 2^64 that
+is neither certified prime nor split).  Every error prints an error
+object on stdout; a usage error prints it as JSON whatever --format
+says, and its usage text on stderr.
 """
 
 from __future__ import annotations
@@ -35,7 +37,11 @@ import sys
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from . import __version__
-from .errors import UnstableCertificateError, ValidationError
+from .errors import (
+    UndecidedCofactorError,
+    UnstableCertificateError,
+    ValidationError,
+)
 
 if TYPE_CHECKING:
     from .chern_invariants import FamilySpec
@@ -49,6 +55,7 @@ EXIT_BROKEN_PIPE = 1
 EXIT_VALIDATION = 2
 EXIT_UNSTABLE = 3
 EXIT_MALFORMED = 4
+EXIT_UNDECIDED = 5
 
 CACHE_ENV_VAR = "MONOBOUND_CACHE"
 
@@ -463,6 +470,9 @@ def main(argv=None) -> int:
         result = {"error": {"type": "UnstableCertificate", "message": str(exc),
                             "certificate": cert_to_json(exc.certificate)}}
         code = EXIT_UNSTABLE
+    except UndecidedCofactorError as exc:
+        result = {"error": {"type": "UndecidedCofactor", "message": str(exc)}}
+        code = EXIT_UNDECIDED
     except ValueError as exc:
         # ValidationError and its subclasses keep their own type name
         result = {"error": {"type": type(exc).__name__, "message": str(exc)}}

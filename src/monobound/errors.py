@@ -60,6 +60,12 @@ class UnstableCertificateError(RuntimeError):
                                     "increase scan depth")
 
 
+class UndecidedCofactorError(RuntimeError):
+    """factorize can neither certify a cofactor at or above 2^64 prime
+    nor split it within Pollard rho's cap: the input is valid, but its
+    factorization is undecided (CLI exit code 5)."""
+
+
 class InvariantViolationError(RuntimeError):
     """A guaranteed mathematical invariant failed: a defect in monobound,
     not bad input.  Unlike assert, the check survives python -O."""

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .errors import UndecidedCofactorError
+
 # Deterministic Miller-Rabin witness set for n < 2^64 (Sinclair / Jaeschke).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -111,7 +113,8 @@ def factorize(n: int) -> Dict[int, int]:
     Every reported prime is certified by the deterministic test, so a
     cofactor at or above 2**64 is only split, never accepted: one that
     passes a base-2 strong-probable-prime round, or that Pollard rho
-    cannot split within RHO_MAX_STEPS iterations, raises.
+    cannot split within RHO_MAX_STEPS iterations, raises
+    UndecidedCofactorError.  A perfect square is split at its root first.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
@@ -132,6 +135,10 @@ def factorize(n: int) -> Dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
+        root = math.isqrt(m)
+        if root * root == m:  # rho would need about sqrt(p) steps on p^2
+            stack += [root, root]
+            continue
         if m < PRIMALITY_LIMIT:
             if is_prime(m):
                 factors[m] = factors.get(m, 0) + 1
@@ -142,7 +149,7 @@ def factorize(n: int) -> Dict[int, int]:
             d = (None if _strong_probable_prime(m, (2,))
                  else _pollard_rho(m, RHO_MAX_STEPS))
             if d is None:
-                raise ValueError(
+                raise UndecidedCofactorError(
                     f"cofactor {m} exceeds the deterministic primality range")
         stack.append(d)
         stack.append(m // d)

@@ -2,17 +2,19 @@
 
 Provides unipotence and quasi-unipotence tests, the trace criterion
 (a quasi-unipotent matrix is unipotent iff its trace equals the
-dimension), the multiplicative Jordan-Chevalley decomposition by Newton
-iteration, terminating log/exp on unipotent/nilpotent matrices, and the
-resulting finite-order-plus-nilpotent pair r * exp(tau * N).
+dimension), the multiplicative Jordan-Chevalley decomposition of a
+quasi-unipotent matrix, terminating log/exp on unipotent/nilpotent
+matrices, and the resulting finite-order-plus-nilpotent pair
+r * exp(tau * N).
 
 Everything answers from one characteristic polynomial, computed by
 Hessenberg reduction in O(d^3).  M is quasi-unipotent exactly when that
 polynomial is a product of cyclotomic polynomials Phi_i (each with
-phi(i) <= d), and the order of the semisimple part is the lcm of those
-i; no matrix is ever raised to a power that grows with d.  Products
-and inverses run on integers over common denominators and build one
-Fraction per entry.
+phi(i) <= d), and the order m of the semisimple part is the lcm of those
+i.  The split itself is read from m: M^m is the m-th power of the
+unipotent part, so log U = log(M^m) / m, and M^m costs O(log m)
+products by repeated squaring.  Products and inverses run on integers
+over common denominators and build one Fraction per entry.
 
 Everything is over exact rationals; equality checks are exact, there are
 no tolerances anywhere.
@@ -204,10 +206,6 @@ def _poly_trim(p: List[Fraction]) -> List[Fraction]:
     return p
 
 
-def _poly_deriv(p: List[Fraction]) -> List[Fraction]:
-    return _poly_trim([k * c for k, c in enumerate(p)][1:] or [Fraction(0)])
-
-
 def _poly_divmod(a: List[Fraction], b: List[Fraction]):
     a = list(a)
     b = _poly_trim(list(b))
@@ -225,32 +223,6 @@ def _poly_divmod(a: List[Fraction], b: List[Fraction]):
     return _poly_trim(q), _poly_trim(a or [Fraction(0)])
 
 
-def _poly_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b != [Fraction(0)]:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r if r else [Fraction(0)]
-    return [c / a[-1] for c in a]  # monic
-
-
-def _squarefree_part(p: List[Fraction]) -> List[Fraction]:
-    g = _poly_gcd(p, _poly_deriv(p))
-    q, r = _poly_divmod(p, g)
-    if r != [Fraction(0)]:
-        raise InvariantViolationError("gcd(p, p') does not divide p")
-    return [c / q[-1] for c in q]
-
-
-def _poly_eval_matrix(p: List[Fraction], M: RationalMatrix) -> RationalMatrix:
-    """p(M) by Horner's rule, adding each coefficient on the diagonal."""
-    result = RationalMatrix.identity(M.dim).scale(p[-1])
-    for c in reversed(p[:-1]):
-        rows = (result * M).rows
-        result = RationalMatrix(tuple(
-            row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(rows)))
-    return result
-
-
 def is_unipotent(M: RationalMatrix) -> bool:
     """Char poly (x - 1)^d, so (M - I)^d = 0 by Cayley-Hamilton."""
     d = M.dim
@@ -262,34 +234,6 @@ def _nonsingular_char_poly(M: RationalMatrix) -> List[Fraction]:
     if char[0] == 0:
         raise SingularInputError("matrix is singular")
     return char
-
-
-def jordan_chevalley(M: RationalMatrix, char: Optional[List[Fraction]] = None
-                     ) -> Tuple[RationalMatrix, RationalMatrix]:
-    """Multiplicative decomposition M = S * U = U * S.
-
-    S is semisimple (annihilated by the squarefree part of the
-    characteristic polynomial), U is unipotent, and both are polynomials
-    in M.  S is found by Newton iteration on the squarefree part g:
-    convergence is quadratic and g(M) is nilpotent, so the iterate count
-    is bounded by the dimension.  A caller that already holds the
-    characteristic polynomial of M passes it as `char`.
-    """
-    if char is None:
-        char = _nonsingular_char_poly(M)
-    g = _squarefree_part(char)
-    g_prime = _poly_deriv(g)
-    S = M
-    for _ in range(M.dim + 1):
-        gS = _poly_eval_matrix(g, S)
-        if gS.is_zero():
-            break
-        S = S - _poly_eval_matrix(g_prime, S).inverse() * gS
-    else:
-        raise InvariantViolationError(
-            "Newton iteration exceeded its convergence bound")
-    U = S.inverse() * M
-    return S, U
 
 
 def _cyclotomic(n: int, known: Dict[int, List[Fraction]]) -> List[Fraction]:
@@ -401,6 +345,33 @@ def nilpotent_exp(N: RationalMatrix) -> RationalMatrix:
     return result
 
 
+def _unipotent_log(M: RationalMatrix) -> RationalMatrix:
+    """log U for the unipotent part U of M = S * U = U * S.
+
+    S is diagonalizable with roots of unity of common order m (read off
+    the characteristic polynomial) as eigenvalues, so S^m = I, and since
+    S and U commute, M^m = U^m.  Hence log U = log(M^m) / m.
+    """
+    m = _finite_order(_nonsingular_char_poly(M))
+    if m is None:
+        raise PreconditionViolatedError(
+            "matrix is not quasi-unipotent; no finite-order part exists")
+    return nilpotent_log(M.power(m)).scale(Fraction(1, m))
+
+
+def jordan_chevalley(M: RationalMatrix) -> Tuple[RationalMatrix, RationalMatrix]:
+    """Multiplicative decomposition M = S * U = U * S of a quasi-unipotent M.
+
+    S is semisimple of finite order, U is unipotent, and both are
+    polynomials in M: U = exp(L) and S = M * exp(-L) with L = log(M^m) / m,
+    m the order of S.  By uniqueness of the decomposition these are the
+    Jordan-Chevalley parts.  A matrix that is not quasi-unipotent raises
+    PreconditionViolatedError.
+    """
+    L = _unipotent_log(M)
+    return M * nilpotent_exp(L.scale(-1)), nilpotent_exp(L)
+
+
 @dataclass(frozen=True)
 class WDPair:
     """Finite-order part r, commuting nilpotent N, and the scale tau,
@@ -414,20 +385,17 @@ class WDPair:
 def wd_pair(M: RationalMatrix, tau) -> WDPair:
     """Split a quasi-unipotent M as r * exp(tau * N).
 
-    r is the semisimple (finite-order) part, N = log(U)/tau for the
-    unipotent part U; the reconstruction identity holds exactly and is
-    checked before returning.
+    r = M * exp(-L) is the semisimple (finite-order) part and N = L / tau,
+    with L = log(M^m) / m the log of the unipotent part (m the order of
+    r); the reconstruction identity holds exactly and is checked before
+    returning.
     """
     tau = Fraction(tau)
     if tau == 0:
         raise ZeroTauError("tau must be nonzero")
-    char = _nonsingular_char_poly(M)
-    if _finite_order(char) is None:
-        raise PreconditionViolatedError(
-            "matrix is not quasi-unipotent; no finite-order part exists")
-    S, U = jordan_chevalley(M, char)
-    N = nilpotent_log(U).scale(1 / tau)
-    pair = WDPair(r=S, n=N, tau=tau)
-    if S * nilpotent_exp(N.scale(tau)) != M:
+    L = _unipotent_log(M)
+    r = M * nilpotent_exp(L.scale(-1))
+    N = L.scale(1 / tau)
+    if r * nilpotent_exp(N.scale(tau)) != M:
         raise InvariantViolationError("r * exp(tau * N) does not reproduce M")
-    return pair
+    return WDPair(r=r, n=N, tau=tau)

@@ -12,6 +12,7 @@ from monobound.chern_invariants import FamilySpec, invariants_of
 from monobound.cli import (
     EXIT_MALFORMED,
     EXIT_OK,
+    EXIT_UNDECIDED,
     EXIT_UNSTABLE,
     EXIT_VALIDATION,
     ScanCache,
@@ -52,6 +53,14 @@ def test_cld_rejects_composite(capsys):
     code, out = run_cli(capsys, "cld", "--ell", "4", "--d", "2")
     assert code == EXIT_VALIDATION
     assert out["error"] == {"type": "ValidationError", "message": "4 is not prime"}
+
+
+def test_cld_undecided_cofactor_exit_code(capsys):
+    # 5^43 - 1 has a prime factor >= 2^64, which is never certified
+    code, out = run_cli(capsys, "cld", "--ell", "5", "--d", "47")
+    assert code == EXIT_UNDECIDED
+    assert out["error"]["type"] == "UndecidedCofactor"
+    assert "exceeds the deterministic primality range" in out["error"]["message"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
+from monobound.errors import UndecidedCofactorError
 from monobound.group_orders import (
     c_ell_d,
     c_ell_d_int,
@@ -84,7 +85,8 @@ def test_c_ell_d_beyond_the_primality_range():
         assert c_ell_d(ell, d).value() == c_ell_d_int(ell, d)
     # 5^43 - 1 and 13^23 - 1 have a prime factor >= 2^64
     for ell, d in ((5, 47), (13, 23)):
-        with pytest.raises(ValueError, match="deterministic primality range"):
+        with pytest.raises(UndecidedCofactorError,
+                           match="deterministic primality range"):
             c_ell_d(ell, d)
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monobound import numtheory
+from monobound.errors import UndecidedCofactorError
 from monobound.numtheory import (
     FactoredInt,
     factorize,
@@ -60,17 +61,22 @@ def test_factorize_splits_composites_beyond_the_primality_range():
     p, q = 2 ** 61 - 1, 2 ** 31 - 1
     assert p * q >= 2 ** 64
     assert factorize(3 * p * q) == {3: 1, q: 1, p: 1}
+    # a perfect square is split at its root: rho would need about
+    # sqrt(p) steps to split p^2
+    r = 1000003
+    assert factorize(p ** 2 * q * r ** 2) == {p: 2, q: 1, r: 2}
+    assert factorize(p ** 4) == {p: 4}
 
 
 def test_factorize_refuses_undecided_cofactors(monkeypatch):
     message = "exceeds the deterministic primality range"
     # a probable prime >= 2^64 is never reported as prime
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(UndecidedCofactorError, match=message):
         factorize(2 ** 89 - 1)
     # a composite that rho cannot split within the cap is refused too
     p, q = 2 ** 61 - 1, 2 ** 31 - 1
     monkeypatch.setattr(numtheory, "RHO_MAX_STEPS", 1)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(UndecidedCofactorError, match=message):
         factorize(p * q)
 
 

@@ -173,8 +173,10 @@ def test_jordan_chevalley_examples():
     assert S * U == NEG_JORDAN and S.power(2).is_identity()
     assert is_unipotent(U)
 
-    S, U = jordan_chevalley(RM([[2, 0], [0, 3]]))
-    assert S == RM([[2, 0], [0, 3]]) and U.is_identity()
+    # the split is read from the order of the finite-order part, so a
+    # matrix that is not quasi-unipotent has none
+    with pytest.raises(PreconditionViolatedError):
+        jordan_chevalley(RM([[2, 0], [0, 3]]))
 
     with pytest.raises(SingularInputError):
         jordan_chevalley(RM([[0, 0], [0, 0]]))
@@ -343,16 +345,60 @@ def test_wd_pair_reconstruction_check_raises(monkeypatch):
         wd_pair(JORDAN, 1)
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# cyclotomic polynomials, low-to-high
+PHI = {3: [1, 1, 1], 5: [1] * 5, 6: [1, -1, 1], 7: [1] * 7, 11: [1] * 11}
+
+
+def _companion_blocks(polys):
+    """Block-diagonal matrix of the companion matrices of monic polys."""
+    d = sum(len(p) - 1 for p in polys)
+    rows = [[0] * d for _ in range(d)]
+    pos = 0
+    for p in polys:
+        k = len(p) - 1
+        for i in range(k):
+            if i:
+                rows[pos + i][pos + i - 1] = 1
+            rows[pos + i][pos + k - 1] = -p[i]
+        pos += k
+    return RM(rows)
+
+
+def _large_order_cases():
+    """(block matrix, semisimple order, whether N = 0) at d = 22; the
+    generated matrices only reach orders up to 12."""
+    yield _companion_blocks([PHI[11], PHI[7], PHI[5], PHI[6]]), 2310, True
+    # the companion matrix of Phi_7^2 is not semisimple
+    yield (_companion_blocks([_poly_mul(PHI[7], PHI[7]),
+                              _poly_mul(PHI[5], PHI[5]), PHI[3]]), 105, False)
+
+
 def test_wd_pair_reconstruction_and_commutation():
     rng = random.Random(17)
-    for _ in range(50):
-        d = rng.randint(1, 4)
-        M, _ = random_quasi_unipotent(rng, d)
+    cases = [(random_quasi_unipotent(rng, rng.randint(1, 4))[0], None)
+             for _ in range(50)]
+    for B, order, n_is_zero in _large_order_cases():
+        P = random_unimodular(rng, B.dim)
+        M = P * B * P.inverse()
+        assert semisimple_order(M) == order
+        cases.append((M, n_is_zero))
+    for M, n_is_zero in cases:
         tau = Fraction(rng.randint(1, 5), rng.randint(1, 5))
         pair = wd_pair(M, tau)
         assert pair.r * nilpotent_exp(pair.n.scale(tau)) == M
         assert pair.r * pair.n == pair.n * pair.r
-        assert pair.n.power(d).is_zero()
+        assert pair.n.power(M.dim).is_zero()
+        assert pair.r.power(semisimple_order(M)).is_identity()
+        if n_is_zero is not None:
+            assert pair.n.is_zero() == n_is_zero
 
 
 def _brute_force_order(S, bound):
