@@ -182,10 +182,6 @@ class FactoredInt:
     def from_dict(cls, factors: Dict[int, int]) -> "FactoredInt":
         return cls(tuple(sorted((p, e) for p, e in factors.items() if e > 0)))
 
-    @classmethod
-    def from_int(cls, n: int) -> "FactoredInt":
-        return cls.from_dict(factorize(n))
-
     def as_dict(self) -> Dict[int, int]:
         return dict(self.factors)
 
@@ -217,11 +213,6 @@ class FactoredInt:
     def p_part(self, q: int) -> "FactoredInt":
         e = self.valuation(q)
         return FactoredInt(((q, e),)) if e else FactoredInt()
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
 
 
 FACTORED_ONE = FactoredInt()

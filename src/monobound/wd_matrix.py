@@ -10,11 +10,12 @@ r * exp(tau * N).
 Everything answers from one characteristic polynomial, computed by
 Hessenberg reduction in O(d^3).  M is quasi-unipotent exactly when that
 polynomial is a product of cyclotomic polynomials Phi_i (each with
-phi(i) <= d), and the order m of the semisimple part is the lcm of those
-i.  The split itself is read from m: M^m is the m-th power of the
-unipotent part, so log U = log(M^m) / m, and M^m costs O(log m)
-products by repeated squaring.  Products and inverses run on integers
-over common denominators and build one Fraction per entry.
+phi(i) <= d), which is integral, so the Phi_i are divided out over Z;
+the order m of the semisimple part is the lcm of those i.  The split
+itself is read from m: M^m is the m-th power of the unipotent part, so
+log U = log(M^m) / m, and M^m costs O(log m) products by repeated
+squaring.  Products and inverses run on integers over common
+denominators and build one Fraction per entry.
 
 Everything is over exact rationals; equality checks are exact, there are
 no tolerances anywhere.
@@ -197,32 +198,6 @@ class RationalMatrix:
         return p[d]
 
 
-# polynomial helpers over Fraction coefficients, low-to-high
-
-
-def _poly_trim(p: List[Fraction]) -> List[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_divmod(a: List[Fraction], b: List[Fraction]):
-    a = list(a)
-    b = _poly_trim(list(b))
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(c != 0 for c in a):
-        a = _poly_trim(a)
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a = a[:-1]
-    return _poly_trim(q), _poly_trim(a or [Fraction(0)])
-
-
 def is_unipotent(M: RationalMatrix) -> bool:
     """Char poly (x - 1)^d, so (M - I)^d = 0 by Cayley-Hamilton."""
     d = M.dim
@@ -236,19 +211,29 @@ def _nonsingular_char_poly(M: RationalMatrix) -> List[Fraction]:
     return char
 
 
-def _cyclotomic(n: int, known: Dict[int, List[Fraction]]) -> List[Fraction]:
+def _monic_quotient(a: List[int], b: List[int]) -> Optional[List[int]]:
+    """a / b over Z for monic b (low-to-high, len(b) <= len(a)), or None
+    when b does not divide a."""
+    a = list(a)
+    k = len(b) - 1
+    q = [0] * (len(a) - k)
+    for shift in range(len(q) - 1, -1, -1):
+        f = q[shift] = a[shift + k]
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+    return None if any(a[:k]) else q
+
+
+def _cyclotomic(n: int, known: Dict[int, List[int]]) -> List[int]:
     """Phi_n from Phi_(n/p), p the least prime factor of n, found in `known`:
     Phi_n(x) = Phi_m(x^p) if p divides m = n/p, else Phi_m(x^p) / Phi_m(x)."""
     if n == 1:
-        return [Fraction(-1), Fraction(1)]
+        return [-1, 1]
     p = next(q for q in range(2, n + 1) if n % q == 0)
     m = n // p
-    spread = [Fraction(0)] * (p * (len(known[m]) - 1) + 1)
+    spread = [0] * (p * (len(known[m]) - 1) + 1)
     spread[::p] = known[m]
-    if m % p == 0:
-        return spread
-    quotient, _ = _poly_divmod(spread, known[m])
-    return quotient
+    return spread if m % p == 0 else _monic_quotient(spread, known[m])
 
 
 def _finite_order(char: List[Fraction]) -> Optional[int]:
@@ -257,18 +242,22 @@ def _finite_order(char: List[Fraction]) -> Optional[int]:
     The roots are roots of unity exactly when char is a product of
     cyclotomic polynomials Phi_i (Bradford & Davenport 1989), and then
     phi(i) <= deg char for each factor and the order is the lcm of those
-    i.  The Phi_i are divided out in increasing i.
+    i.  Such a product of monic integer polynomials is integral, so a
+    non-integer coefficient answers None at once; otherwise the Phi_i are
+    divided out over Z in increasing i.
     """
-    rest = char
-    known: Dict[int, List[Fraction]] = {}
+    if any(c.denominator != 1 for c in char):
+        return None
+    rest = [c.numerator for c in char]
+    known: Dict[int, List[int]] = {}
     order = 1
-    for i in phi_inverse_set(len(char) - 1):
+    for i in phi_inverse_set(len(rest) - 1):
         if len(rest) == 1:
             break
         phi_i = known[i] = _cyclotomic(i, known)
         while len(phi_i) <= len(rest):
-            quotient, remainder = _poly_divmod(rest, phi_i)
-            if remainder != [0]:
+            quotient = _monic_quotient(rest, phi_i)
+            if quotient is None:
                 break
             rest = quotient
             order = math.lcm(order, i)
@@ -345,8 +334,8 @@ def nilpotent_exp(N: RationalMatrix) -> RationalMatrix:
     return result
 
 
-def _unipotent_log(M: RationalMatrix) -> RationalMatrix:
-    """log U for the unipotent part U of M = S * U = U * S.
+def _unipotent_log(M: RationalMatrix) -> Tuple[int, RationalMatrix]:
+    """(m, log U) for the unipotent part U of M = S * U = U * S.
 
     S is diagonalizable with roots of unity of common order m (read off
     the characteristic polynomial) as eigenvalues, so S^m = I, and since
@@ -356,7 +345,7 @@ def _unipotent_log(M: RationalMatrix) -> RationalMatrix:
     if m is None:
         raise PreconditionViolatedError(
             "matrix is not quasi-unipotent; no finite-order part exists")
-    return nilpotent_log(M.power(m)).scale(Fraction(1, m))
+    return m, nilpotent_log(M.power(m)).scale(Fraction(1, m))
 
 
 def jordan_chevalley(M: RationalMatrix) -> Tuple[RationalMatrix, RationalMatrix]:
@@ -368,7 +357,7 @@ def jordan_chevalley(M: RationalMatrix) -> Tuple[RationalMatrix, RationalMatrix]
     Jordan-Chevalley parts.  A matrix that is not quasi-unipotent raises
     PreconditionViolatedError.
     """
-    L = _unipotent_log(M)
+    _, L = _unipotent_log(M)
     return M * nilpotent_exp(L.scale(-1)), nilpotent_exp(L)
 
 
@@ -387,15 +376,17 @@ def wd_pair(M: RationalMatrix, tau) -> WDPair:
 
     r = M * exp(-L) is the semisimple (finite-order) part and N = L / tau,
     with L = log(M^m) / m the log of the unipotent part (m the order of
-    r); the reconstruction identity holds exactly and is checked before
-    returning.
+    r).  Both r^m = I, which a wrong L breaks, and the reconstruction
+    identity hold exactly and are checked before returning.
     """
     tau = Fraction(tau)
     if tau == 0:
         raise ZeroTauError("tau must be nonzero")
-    L = _unipotent_log(M)
+    m, L = _unipotent_log(M)
     r = M * nilpotent_exp(L.scale(-1))
     N = L.scale(1 / tau)
+    if not r.power(m).is_identity():
+        raise InvariantViolationError("r^m is not the identity")
     if r * nilpotent_exp(N.scale(tau)) != M:
         raise InvariantViolationError("r * exp(tau * N) does not reproduce M")
     return WDPair(r=r, n=N, tau=tau)

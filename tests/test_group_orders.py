@@ -4,14 +4,7 @@ from itertools import permutations, product
 import pytest
 
 from monobound.errors import UndecidedCofactorError
-from monobound.group_orders import (
-    c_ell_d,
-    c_ell_d_int,
-    order_gl_fq,
-    order_gl_fq_int,
-    order_gl_z4,
-    order_gl_z4_int,
-)
+from monobound.group_orders import c_ell_d, c_ell_d_int, order_gl_fq, order_gl_z4
 
 # independent oracle: count invertible matrices by full enumeration; a
 # matrix over Z/m is invertible iff its determinant is a unit mod m
@@ -52,8 +45,10 @@ def count_invertible(modulus, d):
 ])
 def test_order_gl_fq_brute_force(ell, d):
     assert ell ** (d * d) <= 10 ** 7
-    assert order_gl_fq_int(ell, d) == count_invertible(ell, d)
-    assert order_gl_fq(ell, d).value() == order_gl_fq_int(ell, d)
+    expected = count_invertible(ell, d)
+    assert order_gl_fq(ell, d).value() == expected
+    if ell != 2:
+        assert c_ell_d_int(ell, d) == expected
 
 
 def test_order_gl_fq_known_values():
@@ -65,7 +60,7 @@ def test_order_gl_fq_known_values():
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_order_gl_z4_brute_force(d):
     expected = count_invertible(4, d) if d else 1
-    assert order_gl_z4_int(d) == expected
+    assert c_ell_d_int(2, d) == expected
     assert order_gl_z4(d).value() == expected
 
 
@@ -74,9 +69,16 @@ def test_c_ell_d_dispatch():
     assert c_ell_d(3, 2).value() == 48
     assert c_ell_d(5, 1).value() == 4
     assert c_ell_d(7, 0).value() == 1
-    for ell in (2, 3, 5):
-        for d in range(0, 4):
-            assert c_ell_d(ell, d).value() == c_ell_d_int(ell, d)
+    # every factor is a certified prime, so an equal value pins the
+    # factorization, and a wrong weight floor(d/k) of Phi_k(ell) shows
+    first_undecided = {11: 29, 13: 23}  # 11^29 - 1, 13^23 - 1: a prime >= 2^64
+    for ell in (2, 3, 5, 7, 11, 13):
+        for d in range(0, 31):
+            if d >= first_undecided.get(ell, 31):
+                with pytest.raises(UndecidedCofactorError):
+                    c_ell_d(ell, d)
+            else:
+                assert c_ell_d(ell, d).value() == c_ell_d_int(ell, d)
 
 
 def test_c_ell_d_beyond_the_primality_range():

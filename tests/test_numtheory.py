@@ -86,9 +86,8 @@ def test_factorize_rejects_zero():
 
 
 def test_factored_int_examples():
-    assert FactoredInt.from_int(48).as_dict() == {2: 4, 3: 1}
-    assert FactoredInt.from_int(1).value() == 1
-    assert str(FactoredInt.from_int(96)) == "2^5 * 3"
+    assert FactoredInt.from_dict(factorize(48)).as_dict() == {2: 4, 3: 1}
+    assert FactoredInt.from_dict(factorize(1)).value() == 1
 
 
 def test_factored_int_rejects_bad_factors():
@@ -104,7 +103,7 @@ def test_factored_int_rejects_bad_factors():
        st.integers(min_value=1, max_value=5_000))
 @settings(max_examples=50)
 def test_factored_mul(a, b):
-    prod = FactoredInt.from_int(a) * FactoredInt.from_int(b)
+    prod = FactoredInt.from_dict(factorize(a)) * FactoredInt.from_dict(factorize(b))
     assert prod.value() == a * b
 
 
@@ -149,7 +148,7 @@ def test_valuation():
     assert valuation(48, 2) == 4
     assert valuation(48, 5) == 0
     assert valuation(96, 3) == 1
-    assert FactoredInt.from_int(96).valuation(2) == 5
+    assert FactoredInt.from_dict(factorize(96)).valuation(2) == 5
     with pytest.raises(ValueError):
         valuation(0, 2)
     with pytest.raises(ValueError):

@@ -345,6 +345,37 @@ def test_wd_pair_reconstruction_check_raises(monkeypatch):
         wd_pair(JORDAN, 1)
 
 
+def test_wd_pair_finite_order_check_raises(monkeypatch):
+    # a wrong log passes the reconstruction check, since r = M * exp(-L);
+    # r^m = I must catch it
+    true_log = wd_matrix.nilpotent_log
+    monkeypatch.setattr(wd_matrix, "nilpotent_log", lambda U: true_log(U).scale(2))
+    with pytest.raises(InvariantViolationError):
+        wd_pair(NEG_JORDAN, 1)
+
+
+def test_quasi_unipotent_with_non_integer_entries():
+    # quasi-unipotence is read off the char poly, which stays integral
+    # under conjugation by diag(2, 1, ..., 1), while the entries do not
+    rng = random.Random(41)
+    cases = [(RM([[0, Fraction(1, 2)], [-2, 0]]), 4)]
+    for _ in range(40):
+        d = rng.randint(2, 5)
+        B, _ = random_quasi_unipotent(rng, d)
+        P = RM([[2 if i == j == 0 else int(i == j) for j in range(d)]
+                for i in range(d)]) * random_unimodular(rng, d)
+        M = P * B * P.inverse()
+        if any(a.denominator != 1 for row in M.rows for a in row):
+            cases.append((M, semisimple_order(B)))
+    assert len(cases) > 20
+    for M, order in cases:
+        assert semisimple_order(M) == order
+        tau = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        pair = wd_pair(M, tau)
+        assert pair.r * nilpotent_exp(pair.n.scale(tau)) == M
+        assert pair.r.power(order).is_identity()
+
+
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
