@@ -75,11 +75,27 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------- serialization
 
+def _decimal(v: int) -> str:
+    """str(v) for an int v >= 0 of any length.
+
+    str() refuses an int longer than the interpreter's digit limit (4300
+    digits by default, never set below 640), so a long value is split by
+    divmod with a power of ten and each part converted on its own.
+    """
+    if v.bit_length() <= 2000:  # at most 603 digits
+        return str(v)
+    k = (v.bit_length() - 1) * 3 // 20  # about half the digits; 10^k < v
+    high, low = divmod(v, 10 ** k)
+    return _decimal(high) + _decimal(low).rjust(k, "0")
+
+
 def factored_to_json(f: FactoredInt, expand_value: bool = True,
                      digit_limit: int = 1000) -> dict:
+    """The factors, and the expanded "value" when it has at most
+    digit_limit digits (and expand_value is set)."""
     out = {"factors": {str(p): e for p, e in f.factors}}
     if expand_value and f.digit_count() <= digit_limit:
-        out["value"] = str(f.value())
+        out["value"] = _decimal(f.value())
     return out
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .errors import UndecidedCofactorError
+from .errors import UndecidedCofactorError, ValidationError
 
 # Deterministic Miller-Rabin witness set for n < 2^64 (Sinclair / Jaeschke).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -53,13 +53,13 @@ def _strong_probable_prime(n: int, bases: Tuple[int, ...]) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2**64.
 
-    Inputs at or above 2**64 are rejected outright: this library never
-    returns a probabilistic "prime" verdict.
+    Negative inputs and inputs at or above 2**64 raise ValidationError:
+    this library never returns a probabilistic "prime" verdict.
     """
     if n < 0:
-        raise ValueError("primality is defined for nonnegative integers")
+        raise ValidationError("primality is defined for nonnegative integers")
     if n >= PRIMALITY_LIMIT:
-        raise ValueError(f"primality check limited to n < 2**64, got {n}")
+        raise ValidationError(f"primality check limited to n < 2**64, got {n}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -192,11 +192,18 @@ class FactoredInt:
         return v
 
     def digit_count(self) -> int:
-        bits = sum(e * p.bit_length() for p, e in self.factors)
-        # cheap upper estimate is enough for display decisions on huge values
-        if bits > 10_000:
-            return int(bits * math.log10(2)) + 1
-        return len(str(self.value()))
+        """Exact number of decimal digits of the value.
+
+        log10 of the value is summed from the factors in floating point,
+        with relative error far below 2^-40.  Only when that sum lies
+        that close to an integer k is the value built and compared with
+        10^k.
+        """
+        log = math.fsum(e * math.log10(p) for p, e in self.factors)
+        k = round(log)
+        if abs(log - k) > (log + 1) * 2.0 ** -40:
+            return math.floor(log) + 1
+        return k + (self.value() >= 10 ** k)
 
     def __mul__(self, other: "FactoredInt") -> "FactoredInt":
         merged = self.as_dict()

@@ -13,9 +13,11 @@ polynomial is a product of cyclotomic polynomials Phi_i (each with
 phi(i) <= d), which is integral, so the Phi_i are divided out over Z;
 the order m of the semisimple part is the lcm of those i.  The split
 itself is read from m: M^m is the m-th power of the unipotent part, so
-log U = log(M^m) / m, and M^m costs O(log m) products by repeated
-squaring.  Products and inverses run on integers over common
-denominators and build one Fraction per entry.
+L = log U = log(M^m) / m, and M^m costs O(log m) products by repeated
+squaring.  log and exp share one terminating power series, and one list
+of powers of L gives both exp(L) and exp(-L); `jordan_chevalley` and
+`wd_pair` read the same split.  Products and inverses run on integers
+over common denominators and build one Fraction per entry.
 
 Everything is over exact rationals; equality checks are exact, there are
 no tolerances anywhere.
@@ -66,18 +68,9 @@ class RationalMatrix:
         return cls.from_rows([[1 if i == j else 0 for j in range(d)]
                               for i in range(d)])
 
-    @classmethod
-    def zeros(cls, d: int) -> "RationalMatrix":
-        return cls.from_rows([[0] * d for _ in range(d)])
-
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return RationalMatrix(tuple(
@@ -277,88 +270,90 @@ def semisimple_order(M: RationalMatrix) -> int:
     """Multiplicative order of the semisimple part of a quasi-unipotent matrix.
 
     S is diagonalizable with the eigenvalues of M, so its order is the
-    lcm of the orders of those roots of unity.
+    lcm of the orders of those roots of unity.  A matrix that is not
+    quasi-unipotent raises PreconditionViolatedError.
     """
     order = _finite_order(_nonsingular_char_poly(M))
     if order is None:
-        raise PreconditionViolatedError("matrix is not quasi-unipotent")
+        raise PreconditionViolatedError(
+            "matrix is not quasi-unipotent; no finite-order part exists")
     return order
 
 
 def trace_criterion(M: RationalMatrix) -> bool:
     """Trace equals dimension; inside the quasi-unipotent world this is
     equivalent to unipotence (a sum of d roots of unity equals d only
-    when all of them are 1)."""
-    if not is_quasi_unipotent(M):
-        raise PreconditionViolatedError(
-            "trace criterion is only valid for quasi-unipotent matrices")
+    when all of them are 1).  Other matrices raise
+    PreconditionViolatedError."""
+    semisimple_order(M)  # refuses a matrix that is not quasi-unipotent
     return M.trace() == M.dim
 
 
-def nilpotent_log(U: RationalMatrix) -> RationalMatrix:
-    """Terminating Mercator series log(U) for unipotent U.
+def _series(X: RationalMatrix, error: Exception, *coeffs) -> List[RationalMatrix]:
+    """[sum_k c(k) X^k for each coefficient function c] for nilpotent X.
 
-    The series builds the powers of X = U - I; unipotence is the first
-    zero power, or else X^d = 0 from one more product.
+    The powers I, X, X^2, ... are built once and shared by every sum.
+    Nilpotence is the first zero power, or else X^d = 0 from one more
+    product; `error` is raised when it fails.
     """
-    d = U.dim
-    X = U - RationalMatrix.identity(d)
-    result = RationalMatrix.zeros(d)
+    powers = [RationalMatrix.identity(X.dim)]
     term = X
-    for k in range(1, d):
-        if term.is_zero():
-            break
-        result = result + term.scale(Fraction((-1) ** (k + 1), k))
+    while not term.is_zero():
+        if len(powers) == X.dim:
+            raise error
+        powers.append(term)
         term = term * X
-    if not term.is_zero():
-        raise NotUnipotentError("matrix is not unipotent")
-    return result
+    # entry (i, j) of a sum: the coefficients dotted with entry (i, j) of each power
+    return [RationalMatrix(tuple(
+        tuple(sum(map(operator.mul, cs, entries)) for entries in zip(*rows))
+        for rows in zip(*(P.rows for P in powers))))
+        for cs in ([c(k) for k in range(len(powers))] for c in coeffs)]
+
+
+def _exp_coeff(k: int) -> Fraction:
+    return Fraction(1, math.factorial(k))
+
+
+def nilpotent_log(U: RationalMatrix) -> RationalMatrix:
+    """Terminating Mercator series log(U) = sum (-1)^(k+1) X^k / k with
+    X = U - I, for unipotent U; NotUnipotentError otherwise."""
+    return _series(U - RationalMatrix.identity(U.dim),
+                   NotUnipotentError("matrix is not unipotent"),
+                   lambda k: Fraction((-1) ** (k + 1), k) if k else 0)[0]
 
 
 def nilpotent_exp(N: RationalMatrix) -> RationalMatrix:
-    """Terminating exponential series for nilpotent N.
-
-    Nilpotence is the first zero term N^k / k!, or else N^d = 0 from one
-    more product.
-    """
-    d = N.dim
-    result = RationalMatrix.identity(d)
-    term = N
-    for k in range(1, d):
-        if term.is_zero():
-            break
-        result = result + term
-        term = (term * N).scale(Fraction(1, k + 1))
-    if not term.is_zero():
-        raise NotNilpotentError("matrix is not nilpotent")
-    return result
+    """Terminating exponential series sum N^k / k! for nilpotent N;
+    NotNilpotentError otherwise."""
+    return _series(N, NotNilpotentError("matrix is not nilpotent"), _exp_coeff)[0]
 
 
-def _unipotent_log(M: RationalMatrix) -> Tuple[int, RationalMatrix]:
-    """(m, log U) for the unipotent part U of M = S * U = U * S.
+def _split(M: RationalMatrix) -> Tuple[int, RationalMatrix, RationalMatrix, RationalMatrix]:
+    """(m, L, S, U) for M = S * U = U * S, with m the order of S and L = log U.
 
     S is diagonalizable with roots of unity of common order m (read off
     the characteristic polynomial) as eigenvalues, so S^m = I, and since
-    S and U commute, M^m = U^m.  Hence log U = log(M^m) / m.
+    S and U commute, M^m = U^m.  Hence L = log(M^m) / m.  One list of
+    powers of L gives both U = exp(L) and U^-1 = exp(-L), and
+    S = M * exp(-L).
     """
-    m = _finite_order(_nonsingular_char_poly(M))
-    if m is None:
-        raise PreconditionViolatedError(
-            "matrix is not quasi-unipotent; no finite-order part exists")
-    return m, nilpotent_log(M.power(m)).scale(Fraction(1, m))
+    m = semisimple_order(M)
+    L = nilpotent_log(M.power(m)).scale(Fraction(1, m))
+    U, U_inverse = _series(L, NotNilpotentError("matrix is not nilpotent"),
+                           _exp_coeff, lambda k: (-1) ** k * _exp_coeff(k))
+    return m, L, M * U_inverse, U
 
 
 def jordan_chevalley(M: RationalMatrix) -> Tuple[RationalMatrix, RationalMatrix]:
     """Multiplicative decomposition M = S * U = U * S of a quasi-unipotent M.
 
-    S is semisimple of finite order, U is unipotent, and both are
-    polynomials in M: U = exp(L) and S = M * exp(-L) with L = log(M^m) / m,
-    m the order of S.  By uniqueness of the decomposition these are the
-    Jordan-Chevalley parts.  A matrix that is not quasi-unipotent raises
-    PreconditionViolatedError.
+    S is semisimple of finite order and U unipotent: U = exp(L) and
+    S = M * exp(-L) with L = log(M^m) / m, m the order of S.  Both are
+    polynomials in M, so by uniqueness they are the Jordan-Chevalley
+    parts.  Other matrices raise PreconditionViolatedError.
     """
-    _, L = _unipotent_log(M)
-    return M * nilpotent_exp(L.scale(-1)), nilpotent_exp(L)
+    _, _, S, U = _split(M)
+    return S, U
 
 
 @dataclass(frozen=True)
@@ -382,11 +377,9 @@ def wd_pair(M: RationalMatrix, tau) -> WDPair:
     tau = Fraction(tau)
     if tau == 0:
         raise ZeroTauError("tau must be nonzero")
-    m, L = _unipotent_log(M)
-    r = M * nilpotent_exp(L.scale(-1))
-    N = L.scale(1 / tau)
+    m, L, r, U = _split(M)
     if not r.power(m).is_identity():
         raise InvariantViolationError("r^m is not the identity")
-    if r * nilpotent_exp(N.scale(tau)) != M:
+    if r * U != M:  # exp(tau * N) = exp(L) = U
         raise InvariantViolationError("r * exp(tau * N) does not reproduce M")
-    return WDPair(r=r, n=N, tau=tau)
+    return WDPair(r=r, n=L.scale(1 / tau), tau=tau)

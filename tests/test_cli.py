@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,6 +67,10 @@ def test_cld_undecided_cofactor_exit_code(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("cd", "--d", "-1"), "dimension must be >= 0, got -1"),
     (("refined", "--d", "2", "--p", "4"), "4 is not prime"),
+    (("cd", "--d", "2", "--p", "-3"), "primality is defined for nonnegative integers"),
+    (("cld", "--ell", "-3", "--d", "2"), "primality is defined for nonnegative integers"),
+    (("refined", "--d", "2", "--p", str(2 ** 64 + 13)),
+     "primality check limited to n < 2**64, got 18446744073709551629"),
 ])
 def test_out_of_domain_arguments_are_validation_errors(capsys, argv, message):
     code, out = run_cli(capsys, *argv)
@@ -84,6 +89,39 @@ def test_cd(capsys):
 
     code, out = run_cli(capsys, "cd", "--d", "0", "--p", "5")
     assert out["value"]["value"] == "1"
+
+
+def decimal_digits(v):
+    """Number of decimal digits of v >= 1, by bisection on powers of ten."""
+    lo, hi = 1, 1
+    while v >= 10 ** hi:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if v < 10 ** mid else (mid + 1, hi)
+    return lo
+
+
+def test_value_digit_limit_expands_exactly_the_short_values(capsys):
+    # |GL_60(Z/4Z)| has 2167 digits
+    for limit, expanded in (("3000", True), ("2166", False), ("2167", True)):
+        code, out = run_cli(capsys, "cld", "--ell", "2", "--d", "60",
+                            "--value-digit-limit", limit)
+        assert code == EXIT_OK and ("value" in out["order"]) == expanded
+    assert int(out["order"]["value"]) == \
+        2 ** (3600 + 1770) * math.prod(2 ** i - 1 for i in range(1, 61))
+    # c_d(3000, 5) has 11197 digits, more than str() converts by default
+    code, out = run_cli(capsys, "cd", "--d", "3000", "--p", "5",
+                        "--value-digit-limit", "100000000")
+    assert code == EXIT_OK
+    text = out["value"]["value"]
+    value = math.prod(int(p) ** e for p, e in out["value"]["factors"].items())
+    assert len(text) == decimal_digits(value) == 11197
+    assert int(text[:1000]) == value // 10 ** (len(text) - 1000)
+    assert int(text[-1000:]) == value % 10 ** 1000
+    code, out = run_cli(capsys, "cd", "--d", "3000", "--p", "5",
+                        "--value-digit-limit", "11196")
+    assert code == EXIT_OK and "value" not in out["value"]
 
 
 def test_cd_unstable_exit_code(capsys):

@@ -76,7 +76,7 @@ def faddeev_leverrier(M):
     Mk = M
     for k in range(1, d + 1):
         if k > 1:
-            Mk = fraction_product(M, Mk + ident.scale(coeffs_high[-1]))
+            Mk = fraction_product(M, Mk - ident.scale(-coeffs_high[-1]))
         coeffs_high.append(-Mk.trace() / k)
     return list(reversed(coeffs_high))
 
@@ -94,8 +94,8 @@ def _random_rational(rng, d):
 
 
 def _pivot_edge_cases():
-    yield RationalMatrix.zeros(1)
-    yield RationalMatrix.zeros(5)
+    yield RM([[0]])
+    yield RM([[0] * 5 for _ in range(5)])
     yield RationalMatrix.identity(4)
     for perm in ((1, 0), (2, 0, 1), (3, 2, 1, 0), (1, 3, 0, 2), (4, 0, 1, 2, 3)):
         d = len(perm)
@@ -288,7 +288,7 @@ def test_nilpotency_boundaries():
         with pytest.raises(NotNilpotentError):
             nilpotent_exp(X)
         with pytest.raises(NotUnipotentError):
-            nilpotent_log(X + RationalMatrix.identity(d))
+            nilpotent_log(X - RationalMatrix.identity(d).scale(-1))
     assert nilpotent_exp(RM([[0]])) == RM([[1]])
     with pytest.raises(NotNilpotentError):
         nilpotent_exp(RM([[Fraction(1, 3)]]))
@@ -297,7 +297,7 @@ def test_nilpotency_boundaries():
 
 
 def test_nilpotent_log_exp_examples():
-    assert nilpotent_exp(RationalMatrix.zeros(3)).is_identity()
+    assert nilpotent_exp(RM([[0] * 3 for _ in range(3)])).is_identity()
     assert nilpotent_log(JORDAN) == RM([[0, 1], [0, 0]])
     with pytest.raises(NotUnipotentError):
         nilpotent_log(ROTATION)
@@ -339,9 +339,16 @@ def test_wd_pair_validation():
 
 
 def test_wd_pair_reconstruction_check_raises(monkeypatch):
-    # a wrong exp must trip the reconstruction check, also under python -O
-    monkeypatch.setattr(wd_matrix, "nilpotent_exp", lambda N: N)
-    with pytest.raises(InvariantViolationError):
+    # a wrong exp(L) from the split (here L itself) must trip the
+    # reconstruction check, also under python -O; r is untouched, so
+    # r^m = I still holds
+    true_split = wd_matrix._split
+
+    def split_with_wrong_exp(M):
+        m, L, r, _ = true_split(M)
+        return m, L, r, L
+    monkeypatch.setattr(wd_matrix, "_split", split_with_wrong_exp)
+    with pytest.raises(InvariantViolationError, match="reproduce M"):
         wd_pair(JORDAN, 1)
 
 
@@ -424,7 +431,12 @@ def test_wd_pair_reconstruction_and_commutation():
     for M, n_is_zero in cases:
         tau = Fraction(rng.randint(1, 5), rng.randint(1, 5))
         pair = wd_pair(M, tau)
-        assert pair.r * nilpotent_exp(pair.n.scale(tau)) == M
+        L = pair.n.scale(tau)
+        # one split, two views: jordan_chevalley gives the same r and exp(L)
+        S, U = jordan_chevalley(M)
+        assert (S, U) == (pair.r, nilpotent_exp(L))
+        assert (U * nilpotent_exp(L.scale(-1))).is_identity()
+        assert pair.r * U == M
         assert pair.r * pair.n == pair.n * pair.r
         assert pair.n.power(M.dim).is_zero()
         assert pair.r.power(semisimple_order(M)).is_identity()
