@@ -89,12 +89,11 @@ def _decimal(v: int) -> str:
     return _decimal(high) + _decimal(low).rjust(k, "0")
 
 
-def factored_to_json(f: FactoredInt, expand_value: bool = True,
-                     digit_limit: int = 1000) -> dict:
+def factored_to_json(f: FactoredInt, digit_limit: int = 1000) -> dict:
     """The factors, and the expanded "value" when it has at most
-    digit_limit digits (and expand_value is set)."""
+    digit_limit digits (never when digit_limit is 0)."""
     out = {"factors": {str(p): e for p, e in f.factors}}
-    if expand_value and f.digit_count() <= digit_limit:
+    if f.digit_count() <= digit_limit:
         out["value"] = _decimal(f.value())
     return out
 
@@ -305,8 +304,7 @@ def _scan_depth(args) -> int:
 
 
 def _factored(args, f: FactoredInt) -> dict:
-    return factored_to_json(f, not args.no_value_expansion,
-                            args.value_digit_limit)
+    return factored_to_json(f, args.value_digit_limit)
 
 
 def cmd_cld(args) -> dict:
@@ -407,6 +405,23 @@ def _render_table(obj: dict, indent: str = "") -> str:
     return "\n".join(lines)
 
 
+def _render(result: dict, fmt: str) -> str:
+    """result as text.  A plain int such as refined's tame_lcm may pass
+    the interpreter's int-to-str digit limit, so the limit is lifted
+    while the result is rendered; every input has been parsed under it
+    by then.  Python before 3.10.7 has no such limit.  Factored values
+    are _decimal strings already."""
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    old = get_limit()
+    set_limit(0)
+    try:
+        return (_render_table(result) if fmt == "table"
+                else json.dumps(result, indent=2, sort_keys=True))
+    finally:
+        set_limit(old)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="monobound",
@@ -418,10 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "table"), default="json")
     values = argparse.ArgumentParser(add_help=False)
-    values.add_argument("--no-value-expansion", action="store_true",
-                        help="never expand factored values to plain integers")
     values.add_argument("--value-digit-limit", type=int, default=1000,
                         help="omit expanded values above this many digits")
+    values.add_argument("--no-value-expansion", dest="value_digit_limit",
+                        action="store_const", const=0,
+                        help="never expand factored values to plain integers "
+                             "(--value-digit-limit 0; the later of the two wins)")
     scan = argparse.ArgumentParser(add_help=False)
     # None stands for compat_bounds.DEFAULT_SCAN_DEPTH, read by _scan_depth
     # so that building the parser imports no library module
@@ -493,8 +510,7 @@ def main(argv=None) -> int:
         # ValidationError and its subclasses keep their own type name
         result = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = EXIT_VALIDATION
-    text = (_render_table(result) if args.format == "table"
-            else json.dumps(result, indent=2, sort_keys=True))
+    text = _render(result, args.format)
     try:
         print(text)
         sys.stdout.flush()

@@ -31,6 +31,7 @@ from .numtheory import (
     is_prime,
     phi_inverse_set,
     primes,
+    primes_upto,
     valuation,
 )
 
@@ -93,12 +94,13 @@ def c_d(d: int, p: Optional[int] = None,
         scan_depth: int = DEFAULT_SCAN_DEPTH) -> Tuple[FactoredInt, ScanCertificate]:
     """Gcd of the per-prime constants over the first scan_depth primes != p.
 
-    Candidates are the primes q <= d + 1.  An odd q takes k + v_q(k!)
-    from its first scanned primitive root mod q^2; q = 2, and a q without
-    such a root, take the least LTE valuation over the scan.  A stable
-    certificate proves the value is the true gcd over all primes
-    distinct from p; an unstable one is reported, never passed off as
-    certified.
+    Candidates are the primes q <= d + 1, read from the prime table, so
+    d + 1 >= numtheory.SIEVE_LIMIT raises ValidationError.  An odd q
+    takes k + v_q(k!) from its first scanned primitive root mod q^2;
+    q = 2, and a q without such a root, take the least LTE valuation
+    over the scan.  A stable certificate proves the value is the true
+    gcd over all primes distinct from p; an unstable one is reported,
+    never passed off as certified.
     """
     if d < 0:
         raise ValidationError(f"dimension must be >= 0, got {d}")
@@ -106,9 +108,10 @@ def c_d(d: int, p: Optional[int] = None,
         raise ValidationError(f"scan_depth must be >= 2, got {scan_depth}")
     if p is not None and not is_prime(p):
         raise ValidationError(f"{p} is not prime")
+    # before any work, so that d + 1 >= SIEVE_LIMIT fails fast
+    candidates = primes_upto(d + 1)
     scanned = list(itertools.islice((ell for ell in primes() if ell != p),
                                     scan_depth))
-    candidates = tuple(itertools.takewhile(lambda q: q <= d + 1, primes()))
     # v_2 of the order depends only on ell mod 8; full coverage of the odd
     # residue classes certifies the minimum
     stable = d == 0 or {1, 3, 5, 7} <= {ell % 8 for ell in scanned}

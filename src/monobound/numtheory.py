@@ -2,11 +2,15 @@
 
 Deterministic primality (64-bit range), factorization by trial division
 plus Brent-cycle Pollard rho (which also splits composite cofactors
-beyond 2^64), factored nonnegative integers, an unbounded prime
-generator, the enumeration of {i : phi(i) <= d}, and p-adic valuations.
-
-Everything here is pure and exact; FactoredInt is immutable and safe to
-share between threads.
+beyond 2^64), factored nonnegative integers, the enumeration of
+{i : phi(i) <= d}, p-adic valuations, and the primes, which all come from
+one bytearray sieve, grown on demand at least by doubling; asking it for
+n >= SIEVE_LIMIT raises ValidationError before anything is allocated.
+Everything here is pure, exact and safe to share between threads:
+FactoredInt is immutable, and growing the sieve builds a new table and
+rebinds the module global, never mutating a table once built, so a walk
+holding an old table stays correct and racing growers each store a
+correct one.
 """
 
 from __future__ import annotations
@@ -27,16 +31,31 @@ PRIMALITY_LIMIT = 2 ** 64
 # before factorize gives up on it.
 RHO_MAX_STEPS = 1 << 20
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+SIEVE_LIMIT = 1 << 25  # most prime table entries; the nonic sevenfold needs 14 913 081
+_table_now = bytearray()  # replaced by _table, never mutated
+
+
+def _table(n: int) -> bytearray:
+    """The prime table, grown first if it does not reach n."""
+    global _table_now
+    table = _table_now
+    if n < len(table):
+        return table
+    if n >= SIEVE_LIMIT:
+        raise ValidationError(f"primes up to {n} requested; SIEVE_LIMIT is {SIEVE_LIMIT}")
+    size = min(max(n + 1, 2 * len(table)), SIEVE_LIMIT)
+    table = bytearray(b"\0\0") + b"\1" * (size - 2)
+    for p in range(2, math.isqrt(size - 1) + 1):
+        if table[p]:
+            table[p * p::p] = bytes(len(range(p * p, size, p)))
+    _table_now = table
+    return table
 
 
 def _strong_probable_prime(n: int, bases: Tuple[int, ...]) -> bool:
     """Miller-Rabin rounds for odd n > max(bases): False proves n composite."""
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r d, d odd
+    d = (n - 1) >> r
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -60,12 +79,10 @@ def is_prime(n: int) -> bool:
         raise ValidationError("primality is defined for nonnegative integers")
     if n >= PRIMALITY_LIMIT:
         raise ValidationError(f"primality check limited to n < 2**64, got {n}")
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    return _strong_probable_prime(n, _MR_BASES)
+    table = _table_now
+    if n < len(table):
+        return table[n] == 1
+    return n % 2 == 1 and _strong_probable_prime(n, _MR_BASES)
 
 
 def _pollard_rho(n: int, max_steps: Optional[int] = None) -> Optional[int]:
@@ -76,11 +93,9 @@ def _pollard_rho(n: int, max_steps: Optional[int] = None) -> Optional[int]:
     """
     if n % 2 == 0:
         return 2
-    x0, c, m = 2, 1, 128
-    steps = 0
+    c, m, steps = 1, 128, 0
     while True:
-        y, r, q = x0, 1, 1
-        g = 1
+        y, r, q, g = 2, 1, 1, 1
         while g == 1:
             if max_steps is not None and steps > max_steps:
                 return None
@@ -119,22 +134,15 @@ def factorize(n: int) -> Dict[int, int]:
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
     factors: Dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in primes():
+        if p * p > n or p >= 10_000:
+            break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    # trial division a bit beyond the wheel primes
-    p = 49
-    while p * p <= n and p < 10_000:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         root = math.isqrt(m)
         if root * root == m:  # rho would need about sqrt(p) steps on p^2
             stack += [root, root]
@@ -151,8 +159,7 @@ def factorize(n: int) -> Dict[int, int]:
             if d is None:
                 raise UndecidedCofactorError(
                     f"cofactor {m} exceeds the deterministic primality range")
-        stack.append(d)
-        stack.append(m // d)
+        stack += [d, m // d]
     return factors
 
 
@@ -186,10 +193,7 @@ class FactoredInt:
         return dict(self.factors)
 
     def value(self) -> int:
-        v = 1
-        for p, e in self.factors:
-            v *= p ** e
-        return v
+        return math.prod(p ** e for p, e in self.factors)
 
     def digit_count(self) -> int:
         """Exact number of decimal digits of the value.
@@ -212,35 +216,31 @@ class FactoredInt:
         return FactoredInt.from_dict(merged)
 
     def valuation(self, q: int) -> int:
-        for p, e in self.factors:
-            if p == q:
-                return e
-        return 0
+        return next((e for p, e in self.factors if p == q), 0)
 
     def p_part(self, q: int) -> "FactoredInt":
         e = self.valuation(q)
         return FactoredInt(((q, e),)) if e else FactoredInt()
 
 
+_table((1 << 16) - 1)  # the first table: 2^16 entries cover factorize's trial division
 FACTORED_ONE = FactoredInt()
 
 
 def primes() -> Iterator[int]:
-    """Unbounded increasing prime generator (incremental sieve)."""
-    yield 2
-    composites: Dict[int, int] = {}
-    n = 3
+    """Increasing primes from the prime table, grown as the walk reaches
+    its end; ValidationError once the walk reaches SIEVE_LIMIT."""
+    n = 0
     while True:
-        step = composites.pop(n, None)
-        if step is None:
-            yield n
-            composites[n * n] = 2 * n
-        else:
-            m = n + step
-            while m in composites:
-                m += step
-            composites[m] = step
-        n += 2
+        table = _table(n)
+        # a memoryview walks the table without copying it
+        yield from itertools.compress(range(n, len(table)), memoryview(table)[n:])
+        n = len(table)
+
+
+def primes_upto(n: int) -> Tuple[int, ...]:
+    """The primes <= n; ValidationError at once when n >= SIEVE_LIMIT."""
+    return tuple(itertools.compress(range(n + 1), memoryview(_table(n))[:n + 1]))
 
 
 def phi_inverse_set(d: int) -> List[int]:
@@ -253,7 +253,7 @@ def phi_inverse_set(d: int) -> List[int]:
     """
     if d < 1:
         raise ValueError(f"phi_inverse_set needs d >= 1, got {d}")
-    rs = list(itertools.takewhile(lambda r: r <= d + 1, primes()))
+    rs = primes_upto(d + 1)
     found = []
     stack = [(0, 1, 1)]  # (index of the least usable prime, i, phi(i))
     while stack:

@@ -295,6 +295,42 @@ def test_no_value_expansion(capsys):
                         "--no-value-expansion")
     assert code == EXIT_OK
     assert "value" not in out["order"]
+    # --no-value-expansion is --value-digit-limit 0: the later one wins
+    for argv, expanded in ((("--no-value-expansion", "--value-digit-limit", "5"), True),
+                           (("--value-digit-limit", "5", "--no-value-expansion"), False)):
+        code, out = run_cli(capsys, "cld", "--ell", "3", "--d", "2", *argv)
+        assert code == EXIT_OK and ("value" in out["order"]) == expanded
+
+
+def test_refined_prints_a_tame_lcm_beyond_the_int_digit_limit(capsys):
+    # lcm{i : phi(i) <= 10000} has 4350 digits, past the default limit of
+    # 4300 on int-to-str conversion (Python >= 3.10.7)
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    old = get_limit()
+    code = main(["refined", "--d", "10000", "--p", "5"])
+    json_text = capsys.readouterr().out
+    code_table = main(["refined", "--d", "10000", "--p", "5", "--format", "table"])
+    table_text = capsys.readouterr().out
+    assert code == code_table == EXIT_OK
+    assert get_limit() == old  # restored after rendering
+    set_limit(0)
+    try:
+        out = json.loads(json_text)
+        assert out["tame_lcm"] == math.lcm(*out["tame_set"])
+        assert len(str(out["tame_lcm"])) == 4350
+        assert f"tame_lcm: {out['tame_lcm']}\n" in table_text
+    finally:
+        set_limit(old)
+
+
+def test_huge_betti_number_is_refused_at_once(capsys, tmp_path):
+    # d = 10^12 is past the prime table's limit: exit 2 before any scan
+    path = write_input(tmp_path, {"invariants": {"n": 1, "b": [10 ** 12], "c": []}})
+    code, out = run_cli(capsys, "variety-bound", "--p", "5", "--input", path)
+    assert code == EXIT_VALIDATION
+    assert out["error"]["type"] == "ValidationError"
+    assert "SIEVE_LIMIT" in out["error"]["message"]
 
 
 def test_table_format(capsys):

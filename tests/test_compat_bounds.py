@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -10,9 +11,10 @@ from monobound.compat_bounds import (
     p_part_c_d,
     refined_bound,
 )
-from monobound.errors import UnstableCertificateError
+from monobound import numtheory
+from monobound.errors import UnstableCertificateError, ValidationError
 from monobound.group_orders import c_ell_d_int
-from monobound.numtheory import primes
+from monobound.numtheory import SIEVE_LIMIT, primes
 
 
 def minkowski_closed_form(d):
@@ -259,3 +261,20 @@ def test_p_none_scans_all_primes():
     value, cert = c_d(2, None)
     assert cert.excluded_p is None
     assert value.value() == 48
+
+
+def test_c_d_refuses_d_at_the_prime_table_limit_before_allocating():
+    # c_d needs the primes up to d + 1; the table stops below SIEVE_LIMIT
+    table = numtheory._table_now
+    tracemalloc.start()
+    try:
+        for d in (SIEVE_LIMIT - 1, 10 ** 12):
+            with pytest.raises(ValidationError, match="SIEVE_LIMIT"):
+                c_d(d, 5)
+            with pytest.raises(ValidationError, match="SIEVE_LIMIT"):
+                refined_bound(d, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert numtheory._table_now is table

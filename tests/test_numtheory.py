@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,20 @@ from monobound.numtheory import (
     is_prime,
     phi_inverse_set,
     primes,
+    primes_upto,
     valuation,
 )
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+@pytest.fixture
+def small_table(monkeypatch):
+    """Start from an empty prime table; the module's own table comes back
+    after the test."""
+    monkeypatch.setattr(numtheory, "_table_now", bytearray())
 
 
 def brute_phi(i):
@@ -175,3 +190,72 @@ def test_primes_increasing():
     assert first[:10] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert all(a < b for a, b in zip(first, first[1:]))
     assert all(is_prime(p) for p in first)
+
+
+def test_is_prime_matches_trial_division_across_the_lookup_boundary(small_table):
+    # a table of 2^16 entries answers below 2^16; Miller-Rabin above
+    numtheory._table((1 << 16) - 1)
+    table = numtheory._table_now
+    assert len(table) == 1 << 16
+    assert all(is_prime(n) == trial_division_is_prime(n) for n in range(70_000))
+    assert numtheory._table_now is table  # is_prime never grows the table
+
+
+def test_primes_walk_survives_a_regrown_table(small_table):
+    expected = [n for n in range(50_000) if trial_division_is_prime(n)][:5_000]
+    numtheory._table(999)
+    gen = primes()
+    first = [next(gen) for _ in range(100)]
+    old = numtheory._table_now
+    numtheory._table(200_000)  # another caller regrows the table
+    assert numtheory._table_now is not old and len(old) == 1000
+    assert first + [next(gen) for _ in range(4_900)] == expected
+    assert primes_upto(48_611) == tuple(expected)  # the 5000th prime
+
+
+def test_threads_growing_the_table_each_see_the_right_primes(small_table):
+    # more threads than cores, switching often, each growing the table
+    # while the others walk or read it
+    expected = [n for n in range(40_000) if trial_division_is_prime(n)]
+    numtheory._table(99)
+
+    def work(i):
+        limit = 3_000 + 4_000 * i
+        gen = primes()
+        walked = [next(gen) for _ in range(len(primes_upto(limit)))]
+        found = set(walked)
+        return walked == [p for p in expected if p <= limit] and \
+            all(is_prime(n) == (n in found) for n in range(limit + 1))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(work, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [True] * 8
+
+
+def test_table_grows_at_least_by_doubling(small_table):
+    numtheory._table(999)
+    assert len(numtheory._table(1000)) == 2000
+    assert len(numtheory._table(5000)) == 5001
+    assert primes_upto(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    assert primes_upto(1) == ()
+
+
+def test_table_refuses_the_limit_before_allocating():
+    table = numtheory._table_now
+    tracemalloc.start()
+    try:
+        for n in (numtheory.SIEVE_LIMIT, 10 ** 12):
+            with pytest.raises(ValidationError, match="SIEVE_LIMIT"):
+                primes_upto(n)
+            with pytest.raises(ValidationError, match="SIEVE_LIMIT"):
+                phi_inverse_set(n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert numtheory._table_now is table
