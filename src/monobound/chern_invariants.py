@@ -15,9 +15,9 @@ exact over Z and all arithmetic stays on integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Tuple
 
+from ._record import Record
 from .errors import ValidationError
 from .variety_bounds import VarietyInvariants
 
@@ -27,8 +27,7 @@ HYPERSURFACE = "hypersurface"
 COMPLETE_INTERSECTION = "complete_intersection"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """A polarized family member: dimension n plus ambient multidegree.
 
     degrees is empty for projective space, one entry for a hypersurface
@@ -41,7 +40,7 @@ class FamilySpec:
     n: int
     degrees: Tuple[int, ...] = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.n}")
         if self.kind == PROJECTIVE_SPACE:

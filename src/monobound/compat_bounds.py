@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ._record import Record
 from .errors import UnstableCertificateError, ValidationError
 from .numtheory import (
     FactoredInt,
@@ -36,10 +36,12 @@ from .numtheory import (
 )
 
 DEFAULT_SCAN_DEPTH = 100
+# pi(SIEVE_LIMIT) - 1 = 2 063 689 - 1: a scan that skips p still ends
+# inside the prime table
+MAX_SCAN_DEPTH = 2_063_688
 
 
-@dataclass(frozen=True)
-class ScanCertificate:
+class ScanCertificate(Record):
     """Audit record of one gcd scan.
 
     witnesses maps each candidate prime q to the scanned prime ell at
@@ -95,7 +97,8 @@ def c_d(d: int, p: Optional[int] = None,
     """Gcd of the per-prime constants over the first scan_depth primes != p.
 
     Candidates are the primes q <= d + 1, read from the prime table, so
-    d + 1 >= numtheory.SIEVE_LIMIT raises ValidationError.  An odd q
+    d + 1 >= numtheory.SIEVE_LIMIT raises ValidationError, as does a
+    scan_depth beyond MAX_SCAN_DEPTH, before any work.  An odd q
     takes k + v_q(k!) from its first scanned primitive root mod q^2;
     q = 2, and a q without such a root, take the least LTE valuation
     over the scan.  A stable certificate proves the value is the true
@@ -106,6 +109,9 @@ def c_d(d: int, p: Optional[int] = None,
         raise ValidationError(f"dimension must be >= 0, got {d}")
     if scan_depth < 2:
         raise ValidationError(f"scan_depth must be >= 2, got {scan_depth}")
+    if scan_depth > MAX_SCAN_DEPTH:
+        raise ValidationError(f"scan_depth must be <= {MAX_SCAN_DEPTH}, the primes "
+                              f"below SIEVE_LIMIT less one, got {scan_depth}")
     if p is not None and not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     # before any work, so that d + 1 >= SIEVE_LIMIT fails fast
@@ -158,8 +164,7 @@ def p_part_c_d(d: int, p: int, scan_depth: int = DEFAULT_SCAN_DEPTH) -> Factored
     return value.p_part(p)
 
 
-@dataclass(frozen=True)
-class RefinedBound:
+class RefinedBound(Record):
     """Tame/wild refinement for a d-dimensional representation.
 
     tame_set lists every possible order i of a tame generator (those with

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError
+from .errors import UndecidedCofactorError, ValidationError
 from .numtheory import FactoredInt, factorize, is_prime
 
 
@@ -29,14 +29,21 @@ def _check(ell: int, d: int) -> None:
 
 
 def _factored_order(ell: int, d: int, kernel_twos: int) -> FactoredInt:
-    """2^kernel_twos * |GL_d(F_ell)| from one exponent table."""
+    """2^kernel_twos * |GL_d(F_ell)| from one exponent table.
+
+    An UndecidedCofactorError names the Phi_k(ell) whose factorization
+    it stopped."""
     exponents = {ell: d * (d - 1) // 2}
     exponents[2] = exponents.get(2, 0) + kernel_twos
     phi = {}  # k -> Phi_k(ell)
     for k in range(1, d + 1):
         phi[k] = (ell ** k - 1) // math.prod(
             phi[j] for j in range(1, k) if k % j == 0)
-        for p, e in factorize(phi[k]).items():
+        try:
+            factors = factorize(phi[k])
+        except UndecidedCofactorError as exc:
+            raise UndecidedCofactorError(f"Phi_{k}({ell}): {exc}") from exc
+        for p, e in factors.items():
             exponents[p] = exponents.get(p, 0) + e * (d // k)
     return FactoredInt.from_dict(exponents)
 

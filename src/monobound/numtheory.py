@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ._record import Record
 from .errors import UndecidedCofactorError, ValidationError
 
 # Deterministic Miller-Rabin witness set for n < 2^64 (Sinclair / Jaeschke).
@@ -163,8 +163,7 @@ def factorize(n: int) -> Dict[int, int]:
     return factors
 
 
-@dataclass(frozen=True)
-class FactoredInt:
+class FactoredInt(Record):
     """Nonnegative integer held as a sorted tuple of (prime, exponent) pairs.
 
     The empty tuple denotes 1.  This is the only representation used for
@@ -174,7 +173,7 @@ class FactoredInt:
 
     factors: Tuple[Tuple[int, int], ...] = ()
 
-    def __post_init__(self):
+    def _check(self):
         last = 1
         for p, e in self.factors:
             if p <= last:

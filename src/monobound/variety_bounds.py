@@ -11,16 +11,15 @@ entries untouched).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ._record import Record
 from .compat_bounds import DEFAULT_SCAN_DEPTH, ScanCertificate, c_d_stable
 from .errors import DimensionTooSmallError, NegativeBettiError, ValidationError
 from .numtheory import FACTORED_ONE, FactoredInt
 
 
-@dataclass(frozen=True)
-class VarietyInvariants:
+class VarietyInvariants(Record):
     """Dimension n, Betti vector b (indices 1..n), section characteristics c (1..n-1).
 
     b_0 = 1 is implicit throughout (geometric connectedness); the Betti
@@ -31,7 +30,7 @@ class VarietyInvariants:
     b: Tuple[int, ...]
     c: Tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.n}")
         if len(self.b) != self.n:
@@ -45,15 +44,13 @@ class VarietyInvariants:
                 raise ValidationError(f"b_{i} = {bi} is negative")
 
 
-@dataclass(frozen=True)
-class DVector:
+class DVector(Record):
     """Derived middle Betti numbers of the iterated section chain, indices 1..n."""
 
     entries: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Factored index bound with its per-section breakdown."""
 
     d_vector: DVector

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from ._record import Record
 from .errors import (
     InvariantViolationError,
     NotNilpotentError,
@@ -48,13 +48,12 @@ def _over_common_denominator(xs) -> Tuple[int, List[int]]:
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(Record):
     """Square matrix with exact rational entries."""
 
     rows: Tuple[Tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
+    def _check(self):
         d = len(self.rows)
         if d < 1 or any(len(row) != d for row in self.rows):
             raise ValueError("matrix must be square and nonempty")
@@ -356,8 +355,7 @@ def jordan_chevalley(M: RationalMatrix) -> Tuple[RationalMatrix, RationalMatrix]
     return S, U
 
 
-@dataclass(frozen=True)
-class WDPair:
+class WDPair(Record):
     """Finite-order part r, commuting nilpotent N, and the scale tau,
     with r * exp(tau * N) reproducing the decomposed matrix."""
 

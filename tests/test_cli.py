@@ -62,6 +62,8 @@ def test_cld_undecided_cofactor_exit_code(capsys):
     assert code == EXIT_UNDECIDED
     assert out["error"]["type"] == "UndecidedCofactor"
     assert "exceeds the deterministic primality range" in out["error"]["message"]
+    # the message names the cyclotomic value whose factorization stopped
+    assert out["error"]["message"].startswith("Phi_43(5): cofactor ")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -486,6 +488,13 @@ def test_scan_depth_below_two_is_a_validation_error(capsys):
     assert code == EXIT_VALIDATION
     assert out["error"] == {"type": "ValidationError",
                             "message": "scan_depth must be >= 2, got 1"}
+
+
+def test_scan_depth_beyond_the_prime_table_is_a_validation_error(capsys):
+    code, out = run_cli(capsys, "cd", "--d", "2", "--scan-depth", "3000000")
+    assert code == EXIT_VALIDATION
+    assert out["error"]["type"] == "ValidationError"
+    assert out["error"]["message"].startswith("scan_depth must be <= 2063688")
 
 
 def test_scan_depth_default_is_the_library_default(capsys):

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from monobound.compat_bounds import (
+    MAX_SCAN_DEPTH,
     ScanCertificate,
     c_d,
     c_d_stable,
@@ -273,6 +274,29 @@ def test_c_d_refuses_d_at_the_prime_table_limit_before_allocating():
                 c_d(d, 5)
             with pytest.raises(ValidationError, match="SIEVE_LIMIT"):
                 refined_bound(d, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert numtheory._table_now is table
+
+
+def test_max_scan_depth_is_the_prime_table_less_one(monkeypatch):
+    # the full table holds pi(SIEVE_LIMIT) primes; a scan that skips p
+    # needs one more prime than its depth
+    monkeypatch.setattr(numtheory, "_table_now", numtheory._table_now)  # restored after
+    assert numtheory._table(SIEVE_LIMIT - 1).count(1) == MAX_SCAN_DEPTH + 1
+
+
+def test_scan_depth_beyond_the_table_is_refused_before_scanning():
+    table = numtheory._table_now
+    tracemalloc.start()
+    try:
+        for depth in (MAX_SCAN_DEPTH + 1, 3_000_000, 10 ** 12):
+            with pytest.raises(ValidationError, match="scan_depth must be <= 2063688"):
+                c_d(2, 5, scan_depth=depth)
+            with pytest.raises(ValidationError, match="scan_depth"):
+                refined_bound(2, 5, scan_depth=depth)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -68,6 +68,32 @@ def test_family_invariants_loads_no_fractions():
     assert "monobound.wd_matrix" not in loaded
 
 
+SUBCOMMANDS = [
+    (["cld", "--ell", "3", "--d", "2"], ""),
+    (["cd", "--d", "2"], ""),
+    (["refined", "--d", "2", "--p", "3"], ""),
+    (["variety-bound", "--p", "7"],
+     json.dumps({"family": {"kind": "hypersurface", "n": 2, "degrees": [4]}})),
+    (["invariants"], json.dumps({"family": {"kind": "projective_space", "n": 3}})),
+    (["descend"], json.dumps({"invariants": {"n": 2, "b": [0, 22], "c": [-4]}})),
+    (["wd-decompose"], json.dumps({"matrix": [["-1", "1"], ["0", "-1"]]})),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", SUBCOMMANDS,
+                         ids=[argv[0] for argv, _ in SUBCOMMANDS])
+def test_no_subcommand_loads_dataclasses(argv, stdin):
+    # the records are slotted classes, not dataclasses; `site` may load
+    # dataclasses itself in some environments, which is not the CLI's cost
+    body = ("preloaded = 'dataclasses' in sys.modules\n"
+            "from monobound.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "assert preloaded or 'dataclasses' not in sys.modules, "
+            "'dataclasses was loaded'")
+    assert "monobound.numtheory" in loaded_modules(body, stdin)
+
+
 def test_public_names_are_their_submodule_attributes():
     assert len(monobound.__all__) == len(set(monobound.__all__))
     for name in monobound.__all__:
