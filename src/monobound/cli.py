@@ -26,11 +26,18 @@ expected), 5 undecided factorization (a cofactor at or above 2^64 that
 is neither certified prime nor split).  Every error prints an error
 object on stdout; a usage error prints it as JSON whatever --format
 says, and its usage text on stderr.
+
+`run()` is the process entry (`python -m monobound.cli` and the
+installed `monobound` script): it calls `main()` and then freezes the
+garbage collector, so the objects still alive at exit sit in the
+permanent generation and the interpreter's exit-time collections skip
+them.  `main(argv)` is the in-process API and never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -256,8 +263,12 @@ class ScanCache:
 
 def cached_c_d(cache: ScanCache, d: int, p: Optional[int],
                scan_depth: int) -> Tuple[FactoredInt, ScanCertificate, bool]:
-    """Certified gcd with cache lookaside; returns (value, cert, was_hit)."""
+    """Certified gcd with cache lookaside; returns (value, cert, was_hit).
+    Without a cache file it computes and neither hashes a key nor stores."""
     from .compat_bounds import c_d_stable
+    if not cache.path:
+        value, cert = c_d_stable(d, p, scan_depth)
+        return value, cert, False
     key = ScanCache.key(d, p, scan_depth)
     payload = cache.get(key)
     if payload is not None:
@@ -523,5 +534,16 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """main() on sys.argv, then gc.freeze(), also when main() raises
+    (SystemExit from a usage error or --help).  Only for a process about
+    to exit; unlike os._exit, atexit handlers, the stdout flush and
+    module teardown still run."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,0 +1,92 @@
+"""The process entry `cli.run`: the exit-time freeze, and the installed script."""
+
+import gc
+import io
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from monobound import cli
+from test_cli import cli_env
+from test_package import SUBCOMMANDS
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def run_in_process(monkeypatch, argv):
+    """cli.run() as the process calls it; returns its code and the freeze count."""
+    monkeypatch.setattr(sys, "argv", ["monobound", *argv])
+    try:
+        code = cli.run()
+        return code, gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+
+
+def test_run_returns_mains_code_and_freezes(monkeypatch, capsys):
+    code, frozen = run_in_process(monkeypatch, ["cld", "--ell", "3", "--d", "2"])
+    assert code == cli.EXIT_OK and frozen > 0
+    assert json.loads(capsys.readouterr().out)["order"]["value"] == "48"
+    code, frozen = run_in_process(monkeypatch, ["cld", "--ell", "4", "--d", "2"])
+    assert code == cli.EXIT_VALIDATION and frozen > 0
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["cld", "--ell", "3", "--d", "2", "--scan-depth", "5"], 2),
+    (["--help"], 0),
+], ids=["usage-error", "help"])
+def test_run_freezes_when_main_exits(monkeypatch, capsys, argv, exit_code):
+    monkeypatch.setattr(sys, "argv", ["monobound", *argv])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert exc.value.code == exit_code
+
+
+def test_main_never_freezes(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["cld", "--ell", "3", "--d", "2"]) == cli.EXIT_OK
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert gc.get_freeze_count() == before
+
+
+ERRORS = [
+    (["cld", "--ell", "4", "--d", "2"], "", cli.EXIT_VALIDATION),
+    (["cd", "--d", "5", "--scan-depth", "2"], "", cli.EXIT_UNSTABLE),
+    (["variety-bound", "--p", "7"],
+     json.dumps({"invariants": {"n": 2, "b": [0, 22.9], "c": [-4]}}), cli.EXIT_MALFORMED),
+    (["cld", "--ell", "5", "--d", "47"], "", cli.EXIT_UNDECIDED),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, exit_code",
+    [(argv, stdin, cli.EXIT_OK) for argv, stdin in SUBCOMMANDS] + ERRORS,
+    ids=[argv[0] for argv, _ in SUBCOMMANDS] + [f"exit{code}" for _, _, code in ERRORS])
+def test_process_output_is_mains_output(monkeypatch, capsys, argv, stdin, exit_code):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    proc = subprocess.run([sys.executable, "-m", "monobound.cli", *argv],
+                          input=stdin.encode(), capture_output=True,
+                          env=cli_env(), timeout=60)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = cli.main(argv)
+    assert proc.returncode == code == exit_code
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+def test_installed_script_is_run():
+    # plain text, since tomllib is new in Python 3.11
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)",
+                        PYPROJECT.read_text(encoding="utf-8"), re.M | re.S)
+    target = re.search(r'^monobound\s*=\s*"([\w.]+):(\w+)"\s*$', section.group(1), re.M)
+    module, name = target.groups()
+    assert module == "monobound.cli"
+    assert getattr(cli, name) is cli.run

@@ -121,3 +121,15 @@ def test_unknown_name_is_an_attribute_error():
 def test_submodules_still_import_from_the_package():
     from monobound import wd_matrix
     assert wd_matrix.RationalMatrix is monobound.RationalMatrix
+
+
+def test_uncached_cd_loads_no_hashlib():
+    # without a cache file, cd hashes no cache key and no checksum
+    body = ("import os\n"
+            "os.environ.pop('MONOBOUND_CACHE', None)\n"
+            "preloaded = 'hashlib' in sys.modules\n"
+            "from monobound.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['cd', '--d', '2', '--p', '7']) == 0\n"
+            "assert preloaded or 'hashlib' not in sys.modules, 'hashlib was loaded'")
+    assert "monobound.compat_bounds" in loaded_modules(body)
