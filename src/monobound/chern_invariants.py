@@ -18,7 +18,7 @@ import math
 from typing import List, Tuple
 
 from ._record import Record
-from .errors import ValidationError
+from .errors import InvariantViolationError, ValidationError
 from .variety_bounds import VarietyInvariants
 
 
@@ -147,7 +147,7 @@ def betti_vector(spec: FamilySpec) -> Tuple[int, ...]:
     off_middle = sum(1 for i in range(0, 2 * n + 1) if i % 2 == 0 and i != n)
     b_middle = (-1) ** n * (chi - off_middle)
     if b_middle < 0:
-        raise ArithmeticError(f"middle Betti number came out negative: {b_middle}")
+        raise InvariantViolationError(f"middle Betti number came out negative: {b_middle}")
     return tuple((1 if i % 2 == 0 else 0) if i < n else b_middle
                  for i in range(1, n + 1))
 

@@ -3,7 +3,7 @@
 Each subcommand parses its input, calls one library function and
 serialises what it returns; the CLI computes nothing of its own.
 `variety-bound` is `variety_bounds.bound`, `refined` is
-`compat_bounds.refined_bound`, `cd` is `compat_bounds.c_d_stable`.
+`compat_bounds.refined_bound`, `cd` is `compat_bounds.c_d`.
 Each subcommand declares only the options it reads.
 
 `cd` alone may keep its results in a scan cache file (`--cache` or
@@ -22,8 +22,9 @@ Exit codes: 0 success, 1 stdout closed before the answer was written,
 2 validation error (mathematically inconsistent input) or usage error
 (an option argparse rejects), 3 unstable scan certificate, 4 malformed
 input (bad JSON or schema, including a non-integer where an integer is
-expected), 5 undecided factorization (a cofactor at or above 2^64 that
-is neither certified prime nor split).  Every error prints an error
+expected and a rational string other than "[+-]digits[/digits]"), 5
+undecided factorization (a cofactor at or above 2^64 that is neither
+certified prime nor split).  Every error prints an error
 object on stdout; a usage error prints it as JSON whatever --format
 says, and its usage text on stderr.
 
@@ -40,6 +41,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -51,6 +53,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .chern_invariants import FamilySpec
     from .compat_bounds import ScanCertificate
     from .numtheory import FactoredInt
@@ -179,22 +183,35 @@ def family_from_json(obj: dict) -> FamilySpec:
         raise MalformedInputError(f"bad family object: {exc}") from exc
 
 
-def matrix_from_json(obj) -> RationalMatrix:
+def _rational(x, what: str) -> Fraction:
+    """A JSON integer, or a string "[+-]digits" or "[+-]digits/digits", as
+    a Fraction.  int() reads each part under the int digit limit, where
+    Fraction(str) would expand an exponent such as "1e1000000" in full."""
     from fractions import Fraction
+    if type(x) is int:
+        return Fraction(x)
+    if not isinstance(x, str):  # floats, bools, ...
+        raise MalformedInputError(f"bad {what}: entries must be integers "
+                                  f"or strings, got {json.dumps(x)}")
+    m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", x)
+    if m is None:
+        raise MalformedInputError(f'bad {what}: need "[+-]digits" or '
+                                  f'"[+-]digits/digits", got {json.dumps(x)}')
+    try:
+        return Fraction(int(m[1]), int(m[2] or 1))
+    except (ValueError, ZeroDivisionError) as exc:  # past the digit limit, or n/0
+        raise MalformedInputError(f"bad {what}: {exc}") from exc
 
+
+def matrix_from_json(obj) -> RationalMatrix:
     from .wd_matrix import RationalMatrix
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise MalformedInputError("bad matrix payload: need an array of row "
                                   f"arrays, got {json.dumps(obj)}")
-    bad = [x for row in obj for x in row
-           if type(x) is not int and not isinstance(x, str)]  # floats, bools, ...
-    if bad:
-        raise MalformedInputError("bad matrix payload: entries must be integers "
-                                  f"or strings, got {json.dumps(bad[0])}")
+    rows = tuple(tuple(_rational(x, "matrix payload") for x in row) for row in obj)
     try:
-        return RationalMatrix.from_rows(
-            [[Fraction(x) for x in row] for row in obj])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return RationalMatrix(rows)
+    except ValueError as exc:  # not square
         raise MalformedInputError(f"bad matrix payload: {exc}") from exc
 
 
@@ -265,16 +282,16 @@ def cached_c_d(cache: ScanCache, d: int, p: Optional[int],
                scan_depth: int) -> Tuple[FactoredInt, ScanCertificate, bool]:
     """Certified gcd with cache lookaside; returns (value, cert, was_hit).
     Without a cache file it computes and neither hashes a key nor stores."""
-    from .compat_bounds import c_d_stable
+    from .compat_bounds import c_d
     if not cache.path:
-        value, cert = c_d_stable(d, p, scan_depth)
+        value, cert = c_d(d, p, scan_depth)
         return value, cert, False
     key = ScanCache.key(d, p, scan_depth)
     payload = cache.get(key)
     if payload is not None:
         return (factored_from_json(payload["value"]),
                 cert_from_json(payload["certificate"]), True)
-    value, cert = c_d_stable(d, p, scan_depth)
+    value, cert = c_d(d, p, scan_depth)
     cache.put(key, {"value": factored_to_json(value),
                     "certificate": cert_to_json(cert)})
     return value, cert, False
@@ -373,16 +390,11 @@ def cmd_descend(args) -> dict:
 
 
 def cmd_wd(args) -> dict:
-    from fractions import Fraction
-
     from .wd_matrix import wd_pair
     obj = _read_input(args.input)
     if "matrix" not in obj:
         raise MalformedInputError('input needs a "matrix" key')
-    try:
-        tau = Fraction(args.tau)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInputError(f"bad tau: {exc}") from exc
+    tau = _rational(args.tau, "tau")
     pair = wd_pair(matrix_from_json(obj["matrix"]), tau)
     return {"r": matrix_to_json(pair.r), "n": matrix_to_json(pair.n),
             "tau": str(pair.tau)}

@@ -11,10 +11,10 @@ valuation over all primes ell is attained at any primitive root ell mod
 q^2, which makes e = q - 1 maximal and v_q(ell^e - 1) = 1, so it is
 k + v_q(k!) with k = floor(d / (q - 1)) (Minkowski's bound; Serre 2007).
 c_d reads the exponent from that closed form at the first scanned
-primitive root; a q without one falls back to the minimum over the scan
-and leaves the certificate unstable.  For q = 2 the valuation depends
-only on ell mod 8, so covering all four odd residue classes mod 8
-certifies the minimum.
+primitive root; a q without one has no witness, and c_d raises
+UnstableCertificateError with the certificate.  For q = 2 the valuation
+depends only on ell mod 8, so covering all four odd residue classes
+mod 8 certifies the minimum over the scan.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ MAX_SCAN_DEPTH = 2_063_688
 class ScanCertificate(Record):
     """Audit record of one gcd scan.
 
-    witnesses maps each candidate prime q to the scanned prime ell at
-    which the minimal q-valuation was attained (for odd q, a primitive
-    root mod q^2 whenever one was scanned).
+    witnesses maps q = 2 to the first scanned prime ell of least
+    2-valuation and each odd candidate q to its first scanned primitive
+    root mod q^2; an odd q with no such root has no entry, and the
+    certificate is then unstable.
     """
 
     d: int
@@ -55,15 +56,6 @@ class ScanCertificate(Record):
     candidate_primes_q: Tuple[int, ...]
     witnesses: Tuple[Tuple[int, int], ...]
     stable: bool
-
-
-def _order_mod(a: int, q: int) -> int:
-    """Multiplicative order of a modulo the prime q, for a prime to q."""
-    order = q - 1
-    for r in factorize(q - 1):
-        while order % r == 0 and pow(a, order // r, q) == 1:
-            order //= r
-    return order
 
 
 def _v_factorial(k: int, q: int) -> int:
@@ -75,35 +67,30 @@ def _v_factorial(k: int, q: int) -> int:
     return v
 
 
-def _order_valuation(ell: int, q: int, d: int) -> int:
-    """v_q of the per-prime constant of dimension d at the prime ell."""
-    if ell == q:
-        # every ell^i - 1 is prime to q; over Z/4Z the kernel adds 2^(d^2)
-        return d * (d - 1) // 2 + (d * d if q == 2 else 0)
-    if q == 2:
-        h = d // 2
-        return ((d - h) * valuation(ell - 1, 2) + h * valuation(ell * ell - 1, 2)
-                + _v_factorial(h, 2))
-    e = _order_mod(ell, q)
-    k = d // e
-    v = 1  # v_q(ell^e - 1), read modulo growing powers of q
-    while pow(ell, e, q ** (v + 1)) == 1:
-        v += 1
-    return k * v + _v_factorial(k, q)
+def _v2_of_order(ell: int, d: int) -> int:
+    """v_2 of the per-prime constant of dimension d at the prime ell: the
+    quantity whose least value over the scan picks the q = 2 witness."""
+    if ell == 2:
+        # every 2^i - 1 is odd; over Z/4Z the kernel adds 2^(d^2)
+        return d * (d - 1) // 2 + d * d
+    h = d // 2
+    return ((d - h) * valuation(ell - 1, 2) + h * valuation(ell * ell - 1, 2)
+            + _v_factorial(h, 2))
 
 
 def c_d(d: int, p: Optional[int] = None,
         scan_depth: int = DEFAULT_SCAN_DEPTH) -> Tuple[FactoredInt, ScanCertificate]:
-    """Gcd of the per-prime constants over the first scan_depth primes != p.
+    """Certified gcd of the per-prime constants over all primes != p.
 
     Candidates are the primes q <= d + 1, read from the prime table, so
     d + 1 >= numtheory.SIEVE_LIMIT raises ValidationError, as does a
-    scan_depth beyond MAX_SCAN_DEPTH, before any work.  An odd q
-    takes k + v_q(k!) from its first scanned primitive root mod q^2;
-    q = 2, and a q without such a root, take the least LTE valuation
-    over the scan.  A stable certificate proves the value is the true
-    gcd over all primes distinct from p; an unstable one is reported,
-    never passed off as certified.
+    scan_depth beyond MAX_SCAN_DEPTH, before any work.  The scan is the
+    first scan_depth primes != p.  An odd q takes k + v_q(k!) from its
+    first scanned primitive root mod q^2, its witness; q = 2 takes the
+    least LTE valuation over the scan.  The returned certificate is
+    always stable and proves the value.  When the scan lacks a root for
+    some odd q or misses an odd residue class mod 8, the whole
+    certificate is built and UnstableCertificateError carries it.
     """
     if d < 0:
         raise ValidationError(f"dimension must be >= 0, got {d}")
@@ -123,20 +110,20 @@ def c_d(d: int, p: Optional[int] = None,
     stable = d == 0 or {1, 3, 5, 7} <= {ell % 8 for ell in scanned}
     exponents, witnesses = {}, {}
     for q in candidates:
-        if q > 2:
-            rs = factorize(q - 1)
-            # a primitive root mod q is one mod q^2 unless ell^(q-1) = 1 mod q^2
-            root = next((ell for ell in scanned if ell != q
-                         and all(pow(ell, (q - 1) // r, q) != 1 for r in rs)
-                         and pow(ell, q - 1, q * q) != 1), None)
-            if root is not None:
-                k = d // (q - 1)
-                exponents[q], witnesses[q] = k + _v_factorial(k, q), root
-                continue
+        if q == 2:
+            witnesses[2] = min(scanned, key=lambda ell: _v2_of_order(ell, d))
+            exponents[2] = _v2_of_order(witnesses[2], d)
+            continue
+        rs = factorize(q - 1)
+        # a primitive root mod q is one mod q^2 unless ell^(q-1) = 1 mod q^2
+        root = next((ell for ell in scanned if ell != q
+                     and all(pow(ell, (q - 1) // r, q) != 1 for r in rs)
+                     and pow(ell, q - 1, q * q) != 1), None)
+        if root is None:
             stable = False
-        v = {ell: _order_valuation(ell, q, d) for ell in scanned}
-        v_min = exponents[q] = min(v.values())
-        witnesses[q] = next(ell for ell in scanned if v[ell] == v_min)
+            continue
+        k = d // (q - 1)
+        exponents[q], witnesses[q] = k + _v_factorial(k, q), root
 
     cert = ScanCertificate(
         d=d,
@@ -146,21 +133,14 @@ def c_d(d: int, p: Optional[int] = None,
         witnesses=tuple(sorted(witnesses.items())),
         stable=stable,
     )
-    return FactoredInt.from_dict(exponents), cert
-
-
-def c_d_stable(d: int, p: Optional[int] = None,
-               scan_depth: int = DEFAULT_SCAN_DEPTH) -> Tuple[FactoredInt, ScanCertificate]:
-    """Like c_d but raises UnstableCertificateError unless certified."""
-    value, cert = c_d(d, p, scan_depth)
-    if not cert.stable:
+    if not stable:
         raise UnstableCertificateError(cert)
-    return value, cert
+    return FactoredInt.from_dict(exponents), cert
 
 
 def p_part_c_d(d: int, p: int, scan_depth: int = DEFAULT_SCAN_DEPTH) -> FactoredInt:
     """p-part of the certified gcd taken over primes ell != p."""
-    value, _ = c_d_stable(d, p, scan_depth)
+    value, _ = c_d(d, p, scan_depth)
     return value.p_part(p)
 
 
@@ -186,7 +166,7 @@ def refined_bound(d: int, p: int, scan_depth: int = DEFAULT_SCAN_DEPTH) -> Refin
     if d < 1:
         raise ValidationError(f"refined bound needs d >= 1, got {d}")
     tame = tuple(phi_inverse_set(d))
-    value, cert = c_d_stable(d, p, scan_depth)
+    value, cert = c_d(d, p, scan_depth)
     return RefinedBound(
         d=d,
         p=p,

@@ -54,10 +54,9 @@ class UnstableCertificateError(RuntimeError):
     """A prime scan did not certify stabilization of the gcd; the value
     cannot be reported as the true infinite gcd (CLI exit code 3)."""
 
-    def __init__(self, certificate, message=None):
+    def __init__(self, certificate):
         self.certificate = certificate
-        super().__init__(message or "prime scan certificate is not stable; "
-                                    "increase scan depth")
+        super().__init__("prime scan certificate is not stable; increase scan depth")
 
 
 class UndecidedCofactorError(RuntimeError):

@@ -11,10 +11,11 @@ entries untouched).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 from ._record import Record
-from .compat_bounds import DEFAULT_SCAN_DEPTH, ScanCertificate, c_d_stable
+from .compat_bounds import DEFAULT_SCAN_DEPTH, ScanCertificate, c_d
 from .errors import DimensionTooSmallError, NegativeBettiError, ValidationError
 from .numtheory import FACTORED_ONE, FactoredInt
 
@@ -87,16 +88,9 @@ def bound(inv: VarietyInvariants, p: int, h: Optional[int] = None,
     if not 1 <= h <= inv.n:
         raise ValidationError(f"h must lie in 1..{inv.n}, got {h}")
     dv = d_vector(inv)
-    factors = []
-    certs = []
-    product = FACTORED_ONE
-    for d_j in dv.entries[:h]:
-        value, cert = c_d_stable(d_j, p, scan_depth)
-        factors.append(value)
-        certs.append(cert)
-        product = product * value
-    return BoundReport(d_vector=dv, factors=tuple(factors),
-                       product=product, certificates=tuple(certs))
+    factors, certs = zip(*(c_d(d_j, p, scan_depth) for d_j in dv.entries[:h]))
+    return BoundReport(d_vector=dv, factors=factors,
+                       product=math.prod(factors, start=FACTORED_ONE), certificates=certs)
 
 
 def descend(inv: VarietyInvariants) -> VarietyInvariants:

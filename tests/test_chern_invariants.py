@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from monobound import chern_invariants
 from monobound.chern_invariants import (
     FamilySpec,
     betti_vector,
@@ -15,7 +16,7 @@ from monobound.chern_invariants import (
     projective_space,
     section_of,
 )
-from monobound.errors import ValidationError
+from monobound.errors import InvariantViolationError, ValidationError
 from monobound.variety_bounds import VarietyInvariants, descend
 
 
@@ -111,6 +112,14 @@ def test_betti_vector_examples():
     assert betti_vector(projective_space(3)) == (0, 1, 0)
     assert betti_vector(hypersurface(2, 4)) == (0, 22)
     assert betti_vector(hypersurface(2, 3)) == (0, 7)
+
+
+def test_negative_middle_betti_is_an_invariant_violation(monkeypatch):
+    # a surface with chi = -10 would have b_2 = chi - 2 = -12; the check is
+    # a raised error, so it also holds under python -O
+    monkeypatch.setattr(chern_invariants, "euler_characteristic", lambda spec: -10)
+    with pytest.raises(InvariantViolationError, match="-12"):
+        betti_vector(hypersurface(2, 4))
 
 
 def test_k3_golden_values():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -249,6 +250,51 @@ def test_wd_decompose_rational_entries(capsys, tmp_path):
     assert code == EXIT_OK
     assert out["n"] == [["0", "3/2"], ["0", "0"]]
     assert out["tau"] == "1/3"
+
+
+def test_wd_decompose_signed_and_fraction_entries(capsys, tmp_path):
+    path = write_input(tmp_path, {"matrix": [["-1", "3/2"], ["0", "-1"]]})
+    code, out = run_cli(capsys, "wd-decompose", "--input", path)
+    assert code == EXIT_OK
+    assert out["r"] == [["-1", "0"], ["0", "-1"]]
+    assert out["n"] == [["0", "-3/2"], ["0", "0"]]
+
+
+@pytest.mark.parametrize("entry, tau", [
+    ("1e3000000", "1"),  # Fraction(str) would expand 10^3000000
+    ("0.5", "1"),
+    ("1", "1e5"),
+    ("+-1", "1"),
+    (" 1", "1"),
+])
+def test_rational_strings_are_digits_over_digits(capsys, tmp_path, entry, tau):
+    path = write_input(tmp_path, {"matrix": [[entry, "0"], ["0", "1"]]})
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "wd-decompose", "--input", path, "--tau", tau)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_MALFORMED
+    bad = entry if tau == "1" else tau
+    assert out["error"]["type"] == "MalformedInput"
+    assert out["error"]["message"].endswith(f"got {json.dumps(bad)}")
+
+
+def test_rational_parts_obey_the_int_digit_limit(capsys, tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-to-str digit limit on this interpreter")
+    path = write_input(tmp_path, {"matrix": [["1/" + "7" * (limit + 1)]]})
+    code, out = run_cli(capsys, "wd-decompose", "--input", path)
+    assert code == EXIT_MALFORMED
+    assert "limit" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["cd", "refined", "variety-bound"])
+def test_scan_depth_help_names_the_library_default(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    assert f"number of primes per gcd scan (default {DEFAULT_SCAN_DEPTH})" in text
 
 
 def test_refined_command(capsys):

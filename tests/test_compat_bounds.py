@@ -8,7 +8,6 @@ from monobound.compat_bounds import (
     MAX_SCAN_DEPTH,
     ScanCertificate,
     c_d,
-    c_d_stable,
     p_part_c_d,
     refined_bound,
 )
@@ -110,16 +109,33 @@ def smooth_part(n, bound):
     return out
 
 
+def certifiable(d, scan):
+    """Brute force: the scan covers the odd residues mod 8 and holds a
+    primitive root mod q^2 for every odd prime q <= d + 1."""
+    odd_qs = [q for q in range(3, d + 2) if all(q % r for r in range(2, q))]
+    return d == 0 or ({1, 3, 5, 7} <= {ell % 8 for ell in scan}
+                      and all(any(is_primitive_root_mod_q2(ell, q) for ell in scan)
+                              for q in odd_qs))
+
+
 def test_c_d_divides_every_scanned_term():
     # the gcd of the expanded orders is the oracle for the witness
-    # exponents and the LTE valuations, certified or not
+    # exponents and the 2-adic LTE valuation; a scan that cannot certify
+    # raises instead of answering
     for p in (None, 2, 3, 5, 7, 11):
-        for depth in (2, 3, 5, 100):
+        for depth in (2, 3, 5, 7, 100):
+            scan = scanned_primes(p, depth)
             for d in range(0, 13):
+                if not certifiable(d, scan):
+                    with pytest.raises(UnstableCertificateError) as info:
+                        c_d(d, p, depth)
+                    assert not info.value.certificate.stable
+                    continue
                 value, cert = c_d(d, p, depth)
+                assert cert.stable
                 v = value.value()
                 g = 0
-                for ell in scanned_primes(p, depth):
+                for ell in scan:
                     order = c_ell_d_int(ell, d)
                     assert order % v == 0
                     g = math.gcd(g, order)
@@ -186,26 +202,33 @@ def test_scan_skips_the_excluded_prime():
     assert dict(c_d(4, 2)[1].witnesses)[3] == 5
 
 
+def unstable_certificate(d, p, scan_depth):
+    """The certificate that c_d raises with for a scan it cannot certify."""
+    with pytest.raises(UnstableCertificateError) as info:
+        c_d(d, p, scan_depth)
+    assert not info.value.certificate.stable
+    return info.value.certificate
+
+
 def test_unstable_scan_is_reported_not_hidden():
     # two scanned primes cannot cover the residue classes mod 8
-    value, cert = c_d(2, 7, scan_depth=2)
-    assert not cert.stable
-    with pytest.raises(UnstableCertificateError):
-        c_d_stable(2, 7, scan_depth=2)
+    cert = unstable_certificate(2, 7, 2)
+    assert cert.candidate_primes_q == (2, 3)
+    for f in (p_part_c_d, refined_bound):
+        with pytest.raises(UnstableCertificateError):
+            f(2, 7, scan_depth=2)
     # candidates are the primes <= d + 1 even when the short scan's gcd
     # has more prime factors (here 23, which divides 2^11 - 1 and 3^11 - 1)
-    value, cert = c_d(11, None, scan_depth=2)
-    assert not cert.stable
+    cert = unstable_certificate(11, None, 2)
     assert cert.candidate_primes_q == (2, 3, 5, 7, 11)
-    assert value.valuation(23) == 0
     # 2, ..., 17 cover the odd residues mod 8 but hold no primitive root
-    # mod 191 (the least is 19): q = 191 falls back to the scanned minimum
-    d, depth = 190, 7
-    value, cert = c_d(d, None, scan_depth=depth)
-    assert not cert.stable
+    # mod 191 (the least is 19): q = 191 alone has no witness
+    cert = unstable_certificate(190, None, 7)
     assert 191 in cert.candidate_primes_q
-    g = math.gcd(*(c_ell_d_int(ell, d) for ell in scanned_primes(None, depth)))
-    assert value.value() == smooth_part(g, d + 1)
+    witnesses = dict(cert.witnesses)
+    assert set(witnesses) == set(cert.candidate_primes_q) - {191}
+    assert all(is_primitive_root_mod_q2(ell, q)
+               for q, ell in witnesses.items() if q > 2)
 
 
 def test_witness_is_a_primitive_root_mod_q_squared():
