@@ -6,8 +6,8 @@ serialises what it returns; the CLI computes nothing of its own.
 `compat_bounds.refined_bound`, `cd` is `compat_bounds.c_d`.
 Each subcommand declares only the options it reads.
 
-`cd` alone may keep its results in a scan cache file (`--cache` or
-$MONOBOUND_CACHE); a cached answer is identical to a computed one except
+`cd` alone may keep its results in the scan cache file named by
+$MONOBOUND_CACHE; a cached answer is identical to a computed one except
 for an added "cached" field.  Every other subcommand always computes.
 
 Each subcommand imports the library modules it uses when it runs, so
@@ -24,7 +24,8 @@ Exit codes: 0 success, 1 stdout closed before the answer was written,
 input (bad JSON or schema, including a non-integer where an integer is
 expected and a rational string other than "[+-]digits[/digits]"), 5
 undecided factorization (a cofactor at or above 2^64 that is neither
-certified prime nor split).  Every error prints an error
+certified prime nor split), 6 internal error (a failed invariant: a
+defect in monobound, not bad input).  Every error prints an error
 object on stdout; a usage error prints it as JSON whatever --format
 says, and its usage text on stderr.
 
@@ -47,6 +48,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from . import __version__
 from .errors import (
+    InvariantViolationError,
     UndecidedCofactorError,
     UnstableCertificateError,
     ValidationError,
@@ -67,8 +69,10 @@ EXIT_VALIDATION = 2
 EXIT_UNSTABLE = 3
 EXIT_MALFORMED = 4
 EXIT_UNDECIDED = 5
+EXIT_INTERNAL = 6
 
 CACHE_ENV_VAR = "MONOBOUND_CACHE"
+DEFAULT_VALUE_DIGIT_LIMIT = 1000
 
 
 class MalformedInputError(Exception):
@@ -100,7 +104,7 @@ def _decimal(v: int) -> str:
     return _decimal(high) + _decimal(low).rjust(k, "0")
 
 
-def factored_to_json(f: FactoredInt, digit_limit: int = 1000) -> dict:
+def factored_to_json(f: FactoredInt, digit_limit: int) -> dict:
     """The factors, and the expanded "value" when it has at most
     digit_limit digits (never when digit_limit is 0)."""
     out = {"factors": {str(p): e for p, e in f.factors}}
@@ -264,8 +268,6 @@ class ScanCache:
 
     def put(self, key: str, payload: dict) -> None:
         self._entries[key] = {"checksum": _checksum(payload), "payload": payload}
-        if not self.path:
-            return
         import tempfile
         directory = os.path.dirname(os.path.abspath(self.path))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -292,7 +294,7 @@ def cached_c_d(cache: ScanCache, d: int, p: Optional[int],
         return (factored_from_json(payload["value"]),
                 cert_from_json(payload["certificate"]), True)
     value, cert = c_d(d, p, scan_depth)
-    cache.put(key, {"value": factored_to_json(value),
+    cache.put(key, {"value": factored_to_json(value, 0),
                     "certificate": cert_to_json(cert)})
     return value, cert, False
 
@@ -343,7 +345,7 @@ def cmd_cld(args) -> dict:
 
 def cmd_cd(args) -> dict:
     scan_depth = _scan_depth(args)
-    cache = ScanCache(args.cache or os.environ.get(CACHE_ENV_VAR))
+    cache = ScanCache(os.environ.get(CACHE_ENV_VAR))
     value, cert, hit = cached_c_d(cache, args.d, args.p, scan_depth)
     out = {"d": args.d, "p": args.p, "scan_depth": scan_depth,
            "value": _factored(args, value),
@@ -456,12 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "table"), default="json")
     values = argparse.ArgumentParser(add_help=False)
-    values.add_argument("--value-digit-limit", type=int, default=1000,
+    values.add_argument("--value-digit-limit", type=int, default=DEFAULT_VALUE_DIGIT_LIMIT,
                         help="omit expanded values above this many digits")
-    values.add_argument("--no-value-expansion", dest="value_digit_limit",
-                        action="store_const", const=0,
-                        help="never expand factored values to plain integers "
-                             "(--value-digit-limit 0; the later of the two wins)")
     scan = argparse.ArgumentParser(add_help=False)
     # None stands for compat_bounds.DEFAULT_SCAN_DEPTH, read by _scan_depth
     # so that building the parser imports no library module
@@ -478,8 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certified gcd of orders over primes != p")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, default=None)
-    p.add_argument("--cache", default=None,
-                   help=f"scan cache file path (or set ${CACHE_ENV_VAR})")
     p.set_defaults(func=cmd_cd)
 
     p = sub.add_parser("variety-bound", parents=[fmt, values, scan],
@@ -529,6 +525,9 @@ def main(argv=None) -> int:
     except UndecidedCofactorError as exc:
         result = {"error": {"type": "UndecidedCofactor", "message": str(exc)}}
         code = EXIT_UNDECIDED
+    except InvariantViolationError as exc:
+        result = {"error": {"type": "InvariantViolationError", "message": str(exc)}}
+        code = EXIT_INTERNAL
     except ValueError as exc:
         # ValidationError and its subclasses keep their own type name
         result = {"error": {"type": type(exc).__name__, "message": str(exc)}}

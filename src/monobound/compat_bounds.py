@@ -19,25 +19,24 @@ mod 8 certifies the minimum over the scan.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Optional, Tuple
 
 from ._record import Record
 from .errors import UnstableCertificateError, ValidationError
 from .numtheory import (
+    SIEVE_LIMIT,
     FactoredInt,
     factorize,
     is_prime,
     phi_inverse_set,
-    primes,
     primes_upto,
     valuation,
 )
 
 DEFAULT_SCAN_DEPTH = 100
 # pi(SIEVE_LIMIT) - 1 = 2 063 689 - 1: a scan that skips p still ends
-# inside the prime table
+# inside the prime table, where the n-th prime (n >= 2) is <= n * n.bit_length()
 MAX_SCAN_DEPTH = 2_063_688
 
 
@@ -103,8 +102,9 @@ def c_d(d: int, p: Optional[int] = None,
         raise ValidationError(f"{p} is not prime")
     # before any work, so that d + 1 >= SIEVE_LIMIT fails fast
     candidates = primes_upto(d + 1)
-    scanned = list(itertools.islice((ell for ell in primes() if ell != p),
-                                    scan_depth))
+    n = scan_depth + 1
+    scanned = [ell for ell in primes_upto(min(n * n.bit_length(), SIEVE_LIMIT - 1))
+               if ell != p][:scan_depth]
     # v_2 of the order depends only on ell mod 8; full coverage of the odd
     # residue classes certifies the minimum
     stable = d == 0 or {1, 3, 5, 7} <= {ell % 8 for ell in scanned}

@@ -8,16 +8,15 @@ one bytearray sieve, grown on demand at least by doubling; asking it for
 n >= SIEVE_LIMIT raises ValidationError before anything is allocated.
 Everything here is pure, exact and safe to share between threads:
 FactoredInt is immutable, and growing the sieve builds a new table and
-rebinds the module global, never mutating a table once built, so a walk
-holding an old table stays correct and racing growers each store a
-correct one.
+rebinds the module global, never mutating the table that is_prime and
+primes_upto read, so racing growers each store a correct one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ._record import Record
 from .errors import UndecidedCofactorError, ValidationError
@@ -134,8 +133,8 @@ def factorize(n: int) -> Dict[int, int]:
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
     factors: Dict[int, int] = {}
-    for p in primes():
-        if p * p > n or p >= 10_000:
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
             break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
@@ -226,20 +225,13 @@ _table((1 << 16) - 1)  # the first table: 2^16 entries cover factorize's trial d
 FACTORED_ONE = FactoredInt()
 
 
-def primes() -> Iterator[int]:
-    """Increasing primes from the prime table, grown as the walk reaches
-    its end; ValidationError once the walk reaches SIEVE_LIMIT."""
-    n = 0
-    while True:
-        table = _table(n)
-        # a memoryview walks the table without copying it
-        yield from itertools.compress(range(n, len(table)), memoryview(table)[n:])
-        n = len(table)
-
-
 def primes_upto(n: int) -> Tuple[int, ...]:
     """The primes <= n; ValidationError at once when n >= SIEVE_LIMIT."""
+    # a memoryview reads the table without copying it
     return tuple(itertools.compress(range(n + 1), memoryview(_table(n))[:n + 1]))
+
+
+_TRIAL_PRIMES = primes_upto(9_999)  # factorize's trial divisors
 
 
 def phi_inverse_set(d: int) -> List[int]:

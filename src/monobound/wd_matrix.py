@@ -37,9 +37,17 @@ from .errors import (
     NotUnipotentError,
     PreconditionViolatedError,
     SingularInputError,
+    ValidationError,
     ZeroTauError,
 )
 from .numtheory import phi_inverse_set
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction when it is an int (not a bool) or a Fraction."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValidationError(f"need an int or a Fraction, got {x!r}")
+    return Fraction(x)
 
 
 def _over_common_denominator(xs) -> Tuple[int, List[int]]:
@@ -60,7 +68,7 @@ class RationalMatrix(Record):
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        return cls(tuple(tuple(_exact(x) for x in row) for row in rows))
 
     @classmethod
     def identity(cls, d: int) -> "RationalMatrix":
@@ -87,7 +95,7 @@ class RationalMatrix(Record):
             for da, a in rows))
 
     def scale(self, factor) -> "RationalMatrix":
-        factor = Fraction(factor)
+        factor = _exact(factor)
         return RationalMatrix(tuple(tuple(factor * a for a in row)
                                     for row in self.rows))
 
@@ -372,7 +380,7 @@ def wd_pair(M: RationalMatrix, tau) -> WDPair:
     r).  Both r^m = I, which a wrong L breaks, and the reconstruction
     identity hold exactly and are checked before returning.
     """
-    tau = Fraction(tau)
+    tau = _exact(tau)
     if tau == 0:
         raise ZeroTauError("tau must be nonzero")
     m, L, r, U = _split(M)

@@ -10,8 +10,11 @@ import pytest
 
 import monobound
 
+from monobound import chern_invariants, cli
 from monobound.chern_invariants import FamilySpec, invariants_of
 from monobound.cli import (
+    DEFAULT_VALUE_DIGIT_LIMIT,
+    EXIT_INTERNAL,
     EXIT_MALFORMED,
     EXIT_OK,
     EXIT_UNDECIDED,
@@ -125,6 +128,18 @@ def test_value_digit_limit_expands_exactly_the_short_values(capsys):
     code, out = run_cli(capsys, "cd", "--d", "3000", "--p", "5",
                         "--value-digit-limit", "11196")
     assert code == EXIT_OK and "value" not in out["value"]
+
+
+def test_invariant_violation_exit_code(capsys, tmp_path, monkeypatch):
+    # a defect, not bad input: chi = -10 would give the K3 a middle Betti
+    # number of -12
+    monkeypatch.setattr(chern_invariants, "euler_characteristic", lambda spec: -10)
+    path = write_input(tmp_path, {"family": {"kind": "hypersurface", "n": 2,
+                                             "degrees": [4]}})
+    code, out = run_cli(capsys, "invariants", "--input", path)
+    assert code == EXIT_INTERNAL == 6
+    assert out["error"] == {"type": "InvariantViolationError",
+                            "message": "middle Betti number came out negative: -12"}
 
 
 def test_cd_unstable_exit_code(capsys):
@@ -306,21 +321,25 @@ def test_refined_command(capsys):
     assert out["wild_part"]["value"] == "3"
 
 
-def test_cache_transparency(capsys, tmp_path):
-    cache = str(tmp_path / "scan.cache")
-    code, cold = run_cli(capsys, "cd", "--d", "2", "--p", "7", "--cache", cache)
+def test_cache_transparency(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "scan.cache"
+    monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
+    code, cold = run_cli(capsys, "cd", "--d", "2", "--p", "7")
     assert code == EXIT_OK and "cached" not in cold
-    code, warm = run_cli(capsys, "cd", "--d", "2", "--p", "7", "--cache", cache)
+    # an entry holds the factors; the value is expanded when it is read
+    (entry,) = json.loads(cache.read_text())["entries"].values()
+    assert entry["payload"]["value"] == {"factors": {"2": 4, "3": 1}}
+    code, warm = run_cli(capsys, "cd", "--d", "2", "--p", "7")
     assert code == EXIT_OK and warm.pop("cached") is True
     assert warm == cold
 
 
-def test_cache_corruption_is_cold_not_fatal(capsys, tmp_path):
+def test_cache_corruption_is_cold_not_fatal(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "scan.cache"
-    run_cli(capsys, "cd", "--d", "2", "--p", "7", "--cache", str(cache))
+    monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
+    run_cli(capsys, "cd", "--d", "2", "--p", "7")
     cache.write_text("garbage!!")
-    code, out = run_cli(capsys, "cd", "--d", "2", "--p", "7",
-                        "--cache", str(cache))
+    code, out = run_cli(capsys, "cd", "--d", "2", "--p", "7")
     assert code == EXIT_OK
     assert "cached" not in out
 
@@ -333,6 +352,21 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     assert out.get("cached") is True
 
 
+def test_cache_entries_with_an_expanded_value_still_load(capsys, tmp_path,
+                                                         monkeypatch):
+    # entries written before the cache dropped "value" keep it; no reader uses it
+    code, cold = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    payload = {"value": {"factors": {"2": 4, "3": 1}, "value": "48"},
+               "certificate": cold["certificate"]}
+    cache = tmp_path / "scan.cache"
+    cache.write_text(json.dumps({"version": monobound.__version__, "entries": {
+        ScanCache.key(2, 7, DEFAULT_SCAN_DEPTH):
+            {"checksum": cli._checksum(payload), "payload": payload}}}))
+    monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
+    code, warm = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    assert code == EXIT_OK and warm.pop("cached") is True and warm == cold
+
+
 def test_cache_key_includes_depth(tmp_path):
     assert ScanCache.key(2, 7, 100) != ScanCache.key(2, 7, 200)
     assert ScanCache.key(2, 7, 100) != ScanCache.key(3, 7, 100)
@@ -340,14 +374,9 @@ def test_cache_key_includes_depth(tmp_path):
 
 def test_no_value_expansion(capsys):
     code, out = run_cli(capsys, "cld", "--ell", "3", "--d", "2",
-                        "--no-value-expansion")
+                        "--value-digit-limit", "0")
     assert code == EXIT_OK
-    assert "value" not in out["order"]
-    # --no-value-expansion is --value-digit-limit 0: the later one wins
-    for argv, expanded in ((("--no-value-expansion", "--value-digit-limit", "5"), True),
-                           (("--value-digit-limit", "5", "--no-value-expansion"), False)):
-        code, out = run_cli(capsys, "cld", "--ell", "3", "--d", "2", *argv)
-        assert code == EXIT_OK and ("value" in out["order"]) == expanded
+    assert out["order"] == {"factors": {"2": 4, "3": 1}}
 
 
 def test_refined_prints_a_tame_lcm_beyond_the_int_digit_limit(capsys):
@@ -402,8 +431,9 @@ def test_variety_bound_is_the_library_bound(capsys, tmp_path, n, degree, p):
         "p": p,
         "h": len(report.factors),
         "d_vector": list(report.d_vector.entries),
-        "factors": [factored_to_json(f) for f in report.factors],
-        "product": factored_to_json(report.product),
+        "factors": [factored_to_json(f, DEFAULT_VALUE_DIGIT_LIMIT)
+                    for f in report.factors],
+        "product": factored_to_json(report.product, DEFAULT_VALUE_DIGIT_LIMIT),
         "certificates": [cert_to_json(c) for c in report.certificates],
     }
 
@@ -418,7 +448,7 @@ def test_refined_is_the_library_refined_bound(capsys, d, p):
         "tame_set": list(rb.tame_set),
         "tame_max": rb.tame_max,
         "tame_lcm": rb.tame_lcm,
-        "wild_part": factored_to_json(rb.wild_part),
+        "wild_part": factored_to_json(rb.wild_part, DEFAULT_VALUE_DIGIT_LIMIT),
         "certificate": cert_to_json(rb.certificate),
     }
 
@@ -453,10 +483,10 @@ def test_only_cd_touches_the_scan_cache(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ("invariants", "--scan-depth", "5"),
-    ("descend", "--no-value-expansion"),
+    ("descend", "--value-digit-limit", "10"),
     ("wd-decompose", "--value-digit-limit", "10"),
-    ("variety-bound", "--p", "5", "--cache", "scan.cache"),
-    ("refined", "--d", "2", "--p", "3", "--cache", "scan.cache"),
+    ("variety-bound", "--p", "5", "--tau", "2"),
+    ("refined", "--d", "2", "--p", "3", "--steps", "2"),
     ("cld", "--ell", "3", "--d", "2", "--scan-depth", "5"),
 ])
 def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
@@ -470,6 +500,11 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     (("invariants", "--scan-depth", "5"), "unrecognized arguments: --scan-depth 5"),
     (("variety-bound",), "the following arguments are required: --p"),
     (("cld", "--ell", "3", "--d", "two"), "argument --d: invalid int value: 'two'"),
+    # --value-digit-limit 0 and $MONOBOUND_CACHE are the one way to say these
+    (("cld", "--ell", "3", "--d", "2", "--no-value-expansion"),
+     "unrecognized arguments: --no-value-expansion"),
+    (("cd", "--d", "2", "--p", "7", "--cache", "scan.cache"),
+     "unrecognized arguments: --cache scan.cache"),
 ])
 def test_usage_errors_print_a_json_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

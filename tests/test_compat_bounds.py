@@ -14,7 +14,7 @@ from monobound.compat_bounds import (
 from monobound import numtheory
 from monobound.errors import UnstableCertificateError, ValidationError
 from monobound.group_orders import c_ell_d_int
-from monobound.numtheory import SIEVE_LIMIT, primes
+from monobound.numtheory import SIEVE_LIMIT
 
 
 def minkowski_closed_form(d):
@@ -49,8 +49,11 @@ def valuation_factorial(k, q):
 
 
 def scanned_primes(p, count):
-    """The first count primes other than p, the scan list of c_d."""
-    return list(itertools.islice((ell for ell in primes() if ell != p), count))
+    """The first count primes other than p, the scan list of c_d, by trial
+    division, apart from the prime table that c_d reads."""
+    return list(itertools.islice(
+        (n for n in itertools.count(2)
+         if n != p and all(n % k for k in range(2, math.isqrt(n) + 1))), count))
 
 
 def test_c_d_trivial_dimension():
@@ -306,9 +309,13 @@ def test_c_d_refuses_d_at_the_prime_table_limit_before_allocating():
 
 def test_max_scan_depth_is_the_prime_table_less_one(monkeypatch):
     # the full table holds pi(SIEVE_LIMIT) primes; a scan that skips p
-    # needs one more prime than its depth
+    # needs one more prime than its depth, and for n = depth + 1 c_d reads
+    # the table up to n * n.bit_length(), past the n-th prime
     monkeypatch.setattr(numtheory, "_table_now", numtheory._table_now)  # restored after
-    assert numtheory._table(SIEVE_LIMIT - 1).count(1) == MAX_SCAN_DEPTH + 1
+    table = numtheory._table(SIEVE_LIMIT - 1)
+    assert table.count(1) == MAX_SCAN_DEPTH + 1
+    primes = itertools.compress(range(len(table)), table)
+    assert all(q <= n * n.bit_length() for n, q in enumerate(primes, 1) if n >= 2)
 
 
 def test_scan_depth_beyond_the_table_is_refused_before_scanning():

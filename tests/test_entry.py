@@ -14,7 +14,9 @@ from monobound import cli
 from test_cli import cli_env
 from test_package import SUBCOMMANDS
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
 
 
 def run_in_process(monkeypatch, argv):
@@ -67,10 +69,13 @@ ERRORS = [
 ]
 
 
-@pytest.mark.parametrize(
+CASES = pytest.mark.parametrize(
     "argv, stdin, exit_code",
     [(argv, stdin, cli.EXIT_OK) for argv, stdin in SUBCOMMANDS] + ERRORS,
     ids=[argv[0] for argv, _ in SUBCOMMANDS] + [f"exit{code}" for _, _, code in ERRORS])
+
+
+@CASES
 def test_process_output_is_mains_output(monkeypatch, capsys, argv, stdin, exit_code):
     monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
     proc = subprocess.run([sys.executable, "-m", "monobound.cli", *argv],
@@ -80,6 +85,22 @@ def test_process_output_is_mains_output(monkeypatch, capsys, argv, stdin, exit_c
     code = cli.main(argv)
     assert proc.returncode == code == exit_code
     assert proc.stdout == capsys.readouterr().out.encode()
+
+
+@CASES
+def test_benchmark_tracer_keeps_output_and_exit_code(monkeypatch, tmp_path,
+                                                    argv, stdin, exit_code):
+    # the benchmark's tracer wraps library names; a missing one would make
+    # every traced query exit 1
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    spans = tmp_path / "spans.json"
+    plain, traced = (
+        subprocess.run([sys.executable, *entry, *argv], input=stdin.encode(),
+                       capture_output=True, env=cli_env(), timeout=60)
+        for entry in (["-m", "monobound.cli"], [str(TRACED_CLI), str(spans), "q1"]))
+    assert traced.returncode == plain.returncode == exit_code
+    assert traced.stdout == plain.stdout
+    assert "cli.main" in {span[0] for span in json.loads(spans.read_text())["spans"]}
 
 
 def test_installed_script_is_run():

@@ -14,7 +14,6 @@ from monobound.numtheory import (
     factorize,
     is_prime,
     phi_inverse_set,
-    primes,
     primes_upto,
     valuation,
 )
@@ -185,9 +184,9 @@ def test_valuation():
 
 
 def test_primes_increasing():
-    gen = primes()
-    first = [next(gen) for _ in range(100)]
-    assert first[:10] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    first = primes_upto(541)  # the 100th prime
+    assert len(first) == 100
+    assert first[:10] == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     assert all(a < b for a, b in zip(first, first[1:]))
     assert all(is_prime(p) for p in first)
 
@@ -201,30 +200,27 @@ def test_is_prime_matches_trial_division_across_the_lookup_boundary(small_table)
     assert numtheory._table_now is table  # is_prime never grows the table
 
 
-def test_primes_walk_survives_a_regrown_table(small_table):
+def test_primes_upto_answers_right_after_a_regrown_table(small_table):
     expected = [n for n in range(50_000) if trial_division_is_prime(n)][:5_000]
     numtheory._table(999)
-    gen = primes()
-    first = [next(gen) for _ in range(100)]
+    assert primes_upto(541) == tuple(expected[:100])
     old = numtheory._table_now
     numtheory._table(200_000)  # another caller regrows the table
     assert numtheory._table_now is not old and len(old) == 1000
-    assert first + [next(gen) for _ in range(4_900)] == expected
     assert primes_upto(48_611) == tuple(expected)  # the 5000th prime
 
 
 def test_threads_growing_the_table_each_see_the_right_primes(small_table):
     # more threads than cores, switching often, each growing the table
-    # while the others walk or read it
+    # while the others read it
     expected = [n for n in range(40_000) if trial_division_is_prime(n)]
     numtheory._table(99)
 
     def work(i):
         limit = 3_000 + 4_000 * i
-        gen = primes()
-        walked = [next(gen) for _ in range(len(primes_upto(limit)))]
-        found = set(walked)
-        return walked == [p for p in expected if p <= limit] and \
+        read = primes_upto(limit)
+        found = set(read)
+        return list(read) == [p for p in expected if p <= limit] and \
             all(is_prime(n) == (n in found) for n in range(limit + 1))
 
     old = sys.getswitchinterval()

@@ -19,6 +19,7 @@ from monobound.errors import (
     NotUnipotentError,
     PreconditionViolatedError,
     SingularInputError,
+    ValidationError,
     ZeroTauError,
 )
 from monobound.numtheory import phi_inverse_set
@@ -336,6 +337,33 @@ def test_wd_pair_validation():
         wd_pair(JORDAN, 0)
     with pytest.raises(PreconditionViolatedError):
         wd_pair(RM([[2, 0], [0, 2]]), 1)
+
+
+def test_the_library_takes_exact_numbers_only(monkeypatch):
+    # a float, a string or a bool is refused before any work: no 332 193-bit
+    # tau from "1e100000", no binary value of 0.1, no tau = 1 from True
+    def no_split(M):
+        raise AssertionError("the split ran")
+
+    monkeypatch.setattr(wd_matrix, "_split", no_split)
+    for bad in ("1e100000", True, 0.5):
+        with pytest.raises(ValidationError, match="need an int or a Fraction"):
+            wd_pair(JORDAN, bad)
+        with pytest.raises(ValidationError, match="need an int or a Fraction"):
+            JORDAN.scale(bad)
+    for bad in (0.1, "1", True, None):
+        with pytest.raises(ValidationError, match="need an int or a Fraction"):
+            RM([[1, 0], [0, bad]])
+
+
+def test_int_and_fraction_inputs_are_unchanged():
+    M = RM([[1, Fraction(1, 2)], [0, -3]])
+    assert M.rows == ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(-3)))
+    assert all(type(x) is Fraction for row in M.rows for x in row)
+    assert M.scale(2) == M.scale(Fraction(2)) == RM([[2, 1], [0, -6]])
+    pair = wd_pair(RM([[1, 2], [0, 1]]), 2)
+    assert pair == wd_pair(RM([[1, 2], [0, 1]]), Fraction(2))
+    assert type(pair.tau) is Fraction and pair.tau == 2
 
 
 def test_wd_pair_reconstruction_check_raises(monkeypatch):
