@@ -43,7 +43,6 @@ _EXPORTS = {
     "chern_invariants": (
         "FamilySpec",
         "betti_vector",
-        "c_invariant",
         "chern_total_dual_cotangent",
         "complete_intersection",
         "euler_characteristic",

@@ -9,7 +9,9 @@ fundamental class: h^n integrates to deg(X).
 
 The total Chern class is (1+h)^{N+1} divided by one factor 1 + delta*h
 per equation.  Each factor has constant term 1, so every division is
-exact over Z and all arithmetic stays on integers.
+exact over Z and all arithmetic stays on integers.  The section Euler
+characteristics c_1..c_{n-1} are read off that same series, divided by
+1 + h once more per i.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ from .variety_bounds import VarietyInvariants
 PROJECTIVE_SPACE = "projective_space"
 HYPERSURFACE = "hypersurface"
 COMPLETE_INTERSECTION = "complete_intersection"
+
+# Caps on family input (N = n + len(degrees)), checked before any series
+# work: the series has n + 1 entries of up to about N * 64 bits, so one
+# answer stays near a second and a few MB.  The paper's families have N <= 10.
+MAX_AMBIENT_DIM = 512
+MAX_DEGREE = 2**64 - 1
 
 
 class FamilySpec(Record):
@@ -54,16 +62,15 @@ class FamilySpec(Record):
                 raise ValidationError("a complete intersection needs degrees")
         else:
             raise ValidationError(f"unknown family kind {self.kind!r}")
-        if any(delta < 1 for delta in self.degrees):
-            raise ValidationError("all degrees must be >= 1")
-
-    @property
-    def codimension(self) -> int:
-        return len(self.degrees)
+        if self.ambient_dim > MAX_AMBIENT_DIM:
+            raise ValidationError(f"ambient dimension {self.ambient_dim} exceeds "
+                                  f"MAX_AMBIENT_DIM = {MAX_AMBIENT_DIM}")
+        if any(not 1 <= delta <= MAX_DEGREE for delta in self.degrees):
+            raise ValidationError(f"all degrees must lie in 1..{MAX_DEGREE}")
 
     @property
     def ambient_dim(self) -> int:
-        return self.n + self.codimension
+        return self.n + len(self.degrees)
 
     @property
     def degree(self) -> int:
@@ -87,8 +94,6 @@ def section_of(spec: FamilySpec) -> FamilySpec:
     """The hyperplane-section family: same equations, one dimension lower."""
     if spec.n < 2:
         raise ValidationError("sections of curves leave the supported families")
-    if spec.kind == PROJECTIVE_SPACE:
-        return projective_space(spec.n - 1)
     return FamilySpec(spec.kind, spec.n - 1, spec.degrees)
 
 
@@ -119,21 +124,6 @@ def euler_characteristic(spec: FamilySpec) -> int:
     return spec.degree * chern_total_dual_cotangent(spec)[spec.n]
 
 
-def c_invariant(spec: FamilySpec, i: int) -> int:
-    """Pushforward of c(T_X) * c(L)^{-i} * c_1(L)^i.
-
-    Multiplying by h^i shifts degrees, so the degree-n coefficient of the
-    full product is the degree-(n-i) coefficient of c(T_X) * (1+h)^{-i},
-    scaled by deg(X).
-    """
-    if not 1 <= i <= spec.n - 1:
-        raise ValidationError(f"i must lie in 1..{spec.n - 1}, got {i}")
-    series = list(chern_total_dual_cotangent(spec))
-    for _ in range(i):
-        _divide(series, 1)
-    return spec.degree * series[spec.n - i]
-
-
 def betti_vector(spec: FamilySpec) -> Tuple[int, ...]:
     """Betti numbers b_1..b_n of the family member.
 
@@ -153,9 +143,16 @@ def betti_vector(spec: FamilySpec) -> Tuple[int, ...]:
 
 
 def invariants_of(spec: FamilySpec) -> VarietyInvariants:
-    """Bundle the Betti and section-characteristic vectors into bound input."""
-    return VarietyInvariants(
-        n=spec.n,
-        b=betti_vector(spec),
-        c=tuple(c_invariant(spec, i) for i in range(1, spec.n)),
-    )
+    """Bundle the Betti and section-characteristic vectors into bound input.
+
+    c_i (i = 1..n-1) is the pushforward of c(T_X) * c(L)^{-i} * c_1(L)^i.
+    Multiplying by h^i shifts degrees, so it is deg(X) times the
+    degree-(n-i) coefficient of c(T_X) * (1+h)^{-i}: the series after its
+    i-th division by 1 + h.
+    """
+    series = list(chern_total_dual_cotangent(spec))
+    c = []
+    for i in range(1, spec.n):
+        _divide(series, 1)
+        c.append(spec.degree * series[spec.n - i])
+    return VarietyInvariants(n=spec.n, b=betti_vector(spec), c=tuple(c))

@@ -311,7 +311,7 @@ def _read_input(path: str) -> dict:
         obj = json.loads(text)
     except OSError as exc:
         raise MalformedInputError(f"cannot read input: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise MalformedInputError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedInputError("top-level JSON input must be an object")

@@ -65,6 +65,8 @@ class RationalMatrix(Record):
         d = len(self.rows)
         if d < 1 or any(len(row) != d for row in self.rows):
             raise ValueError("matrix must be square and nonempty")
+        if not all(type(x) is Fraction for row in self.rows for x in row):
+            raise ValidationError("matrix entries must be Fractions (from_rows takes ints)")
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":

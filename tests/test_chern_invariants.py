@@ -6,8 +6,9 @@ import pytest
 from monobound import chern_invariants
 from monobound.chern_invariants import (
     FamilySpec,
+    MAX_AMBIENT_DIM,
+    MAX_DEGREE,
     betti_vector,
-    c_invariant,
     chern_total_dual_cotangent,
     complete_intersection,
     euler_characteristic,
@@ -85,12 +86,12 @@ def test_c_invariant_projective_space():
     for n in range(2, 7):
         spec = projective_space(n)
         for i in range(1, n):
-            assert c_invariant(spec, i) == n + 1 - i
+            assert invariants_of(spec).c[i - 1] == n + 1 - i
 
 
 def test_c_invariant_surfaces():
-    assert c_invariant(hypersurface(2, 4), 1) == -4
-    assert c_invariant(hypersurface(2, 2), 1) == 2
+    assert invariants_of(hypersurface(2, 4)).c[0] == -4
+    assert invariants_of(hypersurface(2, 2)).c[0] == 2
 
 
 def test_c_invariant_plane_curve_genus_oracle():
@@ -98,14 +99,55 @@ def test_c_invariant_plane_curve_genus_oracle():
     # plane curve of degree delta: chi = 2 - (delta-1)(delta-2)
     for delta in range(1, 7):
         expected = 2 - (delta - 1) * (delta - 2)
-        assert c_invariant(hypersurface(2, delta), 1) == expected
+        assert invariants_of(hypersurface(2, delta)).c[0] == expected
 
 
-def test_c_invariant_range():
-    with pytest.raises(ValidationError):
-        c_invariant(projective_space(3), 3)
-    with pytest.raises(ValidationError):
-        c_invariant(projective_space(3), 0)
+def test_c_vector_matches_rational_oracle():
+    # c_i = deg * [h^(n-i)] c(T_X) * (1+h)^(-i), with the tangent series and
+    # (1+h)^(-i) = sum C(-i, k) h^k multiplied out over Fraction, no _divide
+    specs = [projective_space(n) for n in range(1, 41)]
+    specs += [hypersurface(n, delta) for n in range(1, 41) for delta in range(1, 7)]
+    specs += [complete_intersection(n, degrees) for n in range(1, 41)
+              for degrees in ((2, 3), (2, 2, 2))]
+    for spec in specs:
+        n, tangent = spec.n, rational_chern_series(spec)
+        expected = []
+        for i in range(1, n):
+            inverse = [Fraction((-1) ** k * math.comb(i + k - 1, k))
+                       for k in range(n - i + 1)]
+            top = sum(tangent[k] * inverse[n - i - k] for k in range(n - i + 1))
+            expected.append(spec.degree * top)
+        assert list(invariants_of(spec).c) == expected
+
+
+def test_invariants_of_divides_one_series(monkeypatch):
+    # one series per family: the equations' divisions, once for the series
+    # and once for the Euler characteristic, then one division per c_i
+    calls = []
+    divide = chern_invariants._divide
+
+    def counted(series, delta):
+        calls.append(delta)
+        divide(series, delta)
+
+    monkeypatch.setattr(chern_invariants, "_divide", counted)
+    spec = hypersurface(40, 3)
+    invariants_of(spec)
+    assert len(calls) <= 2 * len(spec.degrees) + spec.n - 1
+
+
+def test_family_caps():
+    assert projective_space(MAX_AMBIENT_DIM).ambient_dim == 512
+    assert complete_intersection(MAX_AMBIENT_DIM - 2, (2, 3)).ambient_dim == 512
+    hypersurface(3, MAX_DEGREE)
+    for make in (lambda: projective_space(MAX_AMBIENT_DIM + 1),
+                 lambda: hypersurface(MAX_AMBIENT_DIM, 3),
+                 lambda: complete_intersection(3, (2,) * MAX_AMBIENT_DIM),
+                 lambda: projective_space(10 ** 9)):
+        with pytest.raises(ValidationError, match="ambient dimension"):
+            make()
+    with pytest.raises(ValidationError, match="degrees must lie in"):
+        hypersurface(3, 2 ** 64)
 
 
 def test_betti_vector_examples():
@@ -163,7 +205,7 @@ def test_two_path_consistency():
         section = spec
         for i in range(1, spec.n):
             section = section_of(section)
-            assert c_invariant(spec, i) == euler_characteristic(section)
+            assert invariants_of(spec).c[i - 1] == euler_characteristic(section)
 
 
 def test_descend_matches_section_family():

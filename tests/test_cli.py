@@ -199,6 +199,26 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     assert code == EXIT_MALFORMED
 
 
+def test_deeply_nested_json_is_malformed(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text('{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out = run_cli(capsys, "wd-decompose", "--input", str(path))
+    assert code == EXIT_MALFORMED
+    assert out["error"]["type"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("family", [
+    {"kind": "projective_space", "n": 10 ** 9},
+    {"kind": "projective_space", "n": 513},
+    {"kind": "hypersurface", "n": 2, "degrees": [2 ** 64]},
+])
+def test_families_past_the_caps_are_refused_at_once(capsys, tmp_path, family):
+    path = write_input(tmp_path, {"family": family})
+    code, out = run_cli(capsys, "invariants", "--input", path)
+    assert code == EXIT_VALIDATION
+    assert out["error"]["type"] == "ValidationError"
+
+
 def test_invariants_command(capsys, tmp_path):
     path = write_input(tmp_path,
                        {"family": {"kind": "hypersurface", "n": 2, "degrees": [4]}})

@@ -356,6 +356,16 @@ def test_the_library_takes_exact_numbers_only(monkeypatch):
             RM([[1, 0], [0, bad]])
 
 
+def test_the_constructor_takes_fractions_only():
+    # the record itself refuses what from_rows would have to convert: a
+    # float never reaches wd_pair, an int never makes char_poly return floats
+    for bad in (0.5, 1, True, "1"):
+        with pytest.raises(ValidationError, match="must be Fractions"):
+            RationalMatrix(((Fraction(1), Fraction(0)), (Fraction(0), bad)))
+    rows = ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
+    assert RationalMatrix(rows) == RM([[1, 2], [3, 4]])
+
+
 def test_int_and_fraction_inputs_are_unchanged():
     M = RM([[1, Fraction(1, 2)], [0, -3]])
     assert M.rows == ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(-3)))
