@@ -214,7 +214,7 @@ def matrix_from_json(obj) -> RationalMatrix:
                                   f"arrays, got {json.dumps(obj)}")
     rows = tuple(tuple(_rational(x, "matrix payload") for x in row) for row in obj)
     try:
-        return RationalMatrix(rows)
+        return RationalMatrix.from_rows(rows)
     except ValueError as exc:  # not square
         raise MalformedInputError(f"bad matrix payload: {exc}") from exc
 

@@ -162,6 +162,22 @@ class RefinedBound(Record):
     certificate: ScanCertificate
 
 
+def _tame_lcm(d: int) -> int:
+    """lcm{i : phi(i) <= d}, from prime powers: phi(r^e) divides phi(i)
+    when r^e divides i, so it is the product over primes r <= d + 1 of
+    the largest r^e with phi(r^e) = r^(e-1) (r - 1) <= d."""
+    powers = []
+    for r in primes_upto(d + 1):
+        power = r
+        while power * (r - 1) <= d:  # phi(r * power) <= d
+            power *= r
+        powers.append(power)
+    # pairwise products: one running product costs time quadratic in the digits
+    while len(powers) > 1:
+        powers = [math.prod(powers[i:i + 2]) for i in range(0, len(powers), 2)]
+    return powers[0]
+
+
 def refined_bound(d: int, p: int, scan_depth: int = DEFAULT_SCAN_DEPTH) -> RefinedBound:
     if d < 1:
         raise ValidationError(f"refined bound needs d >= 1, got {d}")
@@ -172,7 +188,7 @@ def refined_bound(d: int, p: int, scan_depth: int = DEFAULT_SCAN_DEPTH) -> Refin
         p=p,
         tame_max=max(tame),
         tame_set=tame,
-        tame_lcm=math.lcm(*tame),
+        tame_lcm=_tame_lcm(d),
         wild_part=value.p_part(p),
         certificate=cert,
     )

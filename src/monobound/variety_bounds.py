@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from ._record import Record
 from .compat_bounds import DEFAULT_SCAN_DEPTH, ScanCertificate, c_d
 from .errors import DimensionTooSmallError, NegativeBettiError, ValidationError
-from .numtheory import FACTORED_ONE, FactoredInt
+from .numtheory import FACTORED_ONE, SIEVE_LIMIT, FactoredInt
 
 
 class VarietyInvariants(Record):
@@ -82,12 +82,21 @@ def d_vector(inv: VarietyInvariants) -> DVector:
 
 def bound(inv: VarietyInvariants, p: int, h: Optional[int] = None,
           scan_depth: int = DEFAULT_SCAN_DEPTH) -> BoundReport:
-    """Product of the certified gcd constants over the first h derived entries."""
+    """Product of the certified gcd constants over the first h derived entries.
+
+    An entry past the prime table (d_j + 1 >= SIEVE_LIMIT) raises
+    ValidationError before the first scan.
+    """
     if h is None:
         h = inv.n
     if not 1 <= h <= inv.n:
         raise ValidationError(f"h must lie in 1..{inv.n}, got {h}")
     dv = d_vector(inv)
+    j = next((j for j, d_j in enumerate(dv.entries[:h], 1) if d_j + 1 >= SIEVE_LIMIT), None)
+    if j is not None:
+        # the value itself may pass the int-to-str digit limit
+        raise ValidationError(f"d_{j} + 1 >= SIEVE_LIMIT = {SIEVE_LIMIT}: c_d(d_{j}) "
+                              "needs primes past the prime table")
     factors, certs = zip(*(c_d(d_j, p, scan_depth) for d_j in dv.entries[:h]))
     return BoundReport(d_vector=dv, factors=factors,
                        product=math.prod(factors, start=FACTORED_ONE), certificates=certs)

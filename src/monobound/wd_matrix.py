@@ -16,8 +16,8 @@ itself is read from m: M^m is the m-th power of the unipotent part, so
 L = log U = log(M^m) / m, and M^m costs O(log m) products by repeated
 squaring.  log and exp share one terminating power series, and one list
 of powers of L gives both exp(L) and exp(-L); `jordan_chevalley` and
-`wd_pair` read the same split.  Products and inverses run on integers
-over common denominators and build one Fraction per entry.
+`wd_pair` read the same split.  A matrix is one integer matrix over one
+denominator, and all but the char poly work on those integers alone.
 
 Everything is over exact rationals; equality checks are exact, there are
 no tolerances anywhere.
@@ -50,56 +50,57 @@ def _exact(x) -> Fraction:
     return Fraction(x)
 
 
-def _over_common_denominator(xs) -> Tuple[int, List[int]]:
-    """(D, [x * D for x in xs]) with D the lcm of the denominators."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return den, [x.numerator * (den // x.denominator) for x in xs]
-
-
 class RationalMatrix(Record):
-    """Square matrix with exact rational entries."""
+    """Square matrix with exact rational entries: integers num over one den."""
 
-    rows: Tuple[Tuple[Fraction, ...], ...]
+    num: Tuple[Tuple[int, ...], ...]
+    den: int = 1
 
     def _check(self):
-        d = len(self.rows)
-        if d < 1 or any(len(row) != d for row in self.rows):
+        num, den = self.num, self.den
+        if not num or any(len(row) != len(num) for row in num):
             raise ValueError("matrix must be square and nonempty")
-        if not all(type(x) is Fraction for row in self.rows for x in row):
-            raise ValidationError("matrix entries must be Fractions (from_rows takes ints)")
+        if type(den) is not int or not den or not all(
+                type(x) is int for row in num for x in row):
+            raise ValidationError("matrix entries must be ints over a nonzero int "
+                                  "denominator (from_rows takes Fractions)")
+        # lowest terms with den > 0, once, here: equal matrices are equal records
+        g = math.gcd(den, *(x for row in num for x in row)) * (-1 if den < 0 else 1)
+        if g != 1:
+            object.__setattr__(self, "num",
+                               tuple(tuple(x // g for x in row) for row in num))
+            object.__setattr__(self, "den", den // g)
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":
-        return cls(tuple(tuple(_exact(x) for x in row) for row in rows))
+        # over the lcm of the reduced denominators, already in lowest terms
+        rows = [[_exact(x) for x in row] for row in rows]
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        return cls(tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                         for row in rows), den)
 
     @classmethod
     def identity(cls, d: int) -> "RationalMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(d)]
-                              for i in range(d)])
+        return cls(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
+
+    @property
+    def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(tuple(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)))
+        return _combination(((1, self), (-1, other)))
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        # fraction-free: each row of self and each column of other over its
-        # own common denominator, integer dot products, one Fraction per entry
-        rows = [_over_common_denominator(row) for row in self.rows]
-        cols = [_over_common_denominator(col) for col in zip(*other.rows)]
-        return RationalMatrix(tuple(
-            tuple(Fraction(sum(map(operator.mul, a, b)), da * db)
-                  for db, b in cols)
-            for da, a in rows))
+        cols = list(zip(*other.num))
+        return RationalMatrix(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
+                                    for row in self.num), self.den * other.den)
 
     def scale(self, factor) -> "RationalMatrix":
-        factor = _exact(factor)
-        return RationalMatrix(tuple(tuple(factor * a for a in row)
-                                    for row in self.rows))
+        return _combination(((_exact(factor), self),))
 
     def power(self, e: int) -> "RationalMatrix":
         if e < 0:
@@ -114,10 +115,10 @@ class RationalMatrix(Record):
         return result
 
     def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(self.dim))
+        return Fraction(sum(self.num[i][i] for i in range(self.dim)), self.den)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.rows for a in row)
+        return not any(x for row in self.num for x in row)
 
     def is_identity(self) -> bool:
         return self == RationalMatrix.identity(self.dim)
@@ -125,19 +126,13 @@ class RationalMatrix(Record):
     def inverse(self) -> "RationalMatrix":
         """Inverse; raises SingularInputError when det = 0.
 
-        Fraction-free Gauss-Jordan (Bareiss 1968) on [A | I], where A
-        scales each row of self to integers by its common denominator.
-        Every division is exact, so all entries stay integers; with p the
-        last pivot (+-det A) the left block ends as p * I and the right
-        one as p * A^-1.  self^-1 is A^-1 with column j times the j-th
-        row denominator, one Fraction per entry.
+        Fraction-free Gauss-Jordan (Bareiss 1968) on [num | I]: divisions
+        are exact, and with p the last pivot (+-det num) the left block
+        ends as p * I and the right one as p * num^-1, so self^-1 is
+        den / p times the right block.
         """
         d = self.dim
-        dens, aug = [], []
-        for i, row in enumerate(self.rows):
-            den, ints = _over_common_denominator(row)
-            dens.append(den)
-            aug.append(ints + [int(i == j) for j in range(d)])
+        aug = [[*a, *b] for a, b in zip(self.num, RationalMatrix.identity(d).num)]
         prev = 1
         for col in range(d):
             pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
@@ -152,9 +147,7 @@ class RationalMatrix(Record):
                     aug[r] = [(pv * a - f * b) // prev
                               for a, b in zip(aug[r], top)]
             prev = pv
-        return RationalMatrix(tuple(
-            tuple(Fraction(a * den, prev) for a, den in zip(row[d:], dens))
-            for row in aug))
+        return RationalMatrix(tuple(tuple(row[d:]) for row in aug), prev).scale(self.den)
 
     def char_poly(self) -> List[Fraction]:
         """Characteristic polynomial, low-to-high coefficients, monic of degree d.
@@ -198,6 +191,17 @@ class RationalMatrix(Record):
                     pm[k] -= f * c
             p.append(pm)
         return p[d]
+
+
+def _combination(terms) -> RationalMatrix:
+    """sum c * M over the (c, M) pairs, c an int or a Fraction: one integer
+    dot product per entry over the lcm of the c.denominator * M.den."""
+    terms = list(terms)
+    den = math.lcm(*(c.denominator * M.den for c, M in terms))
+    factors = [c.numerator * (den // (c.denominator * M.den)) for c, M in terms]
+    return RationalMatrix(tuple(
+        tuple(sum(map(operator.mul, factors, entries)) for entries in zip(*rows))
+        for rows in zip(*(M.num for _, M in terms))), den)
 
 
 def is_unipotent(M: RationalMatrix) -> bool:
@@ -312,11 +316,7 @@ def _series(X: RationalMatrix, error: Exception, *coeffs) -> List[RationalMatrix
             raise error
         powers.append(term)
         term = term * X
-    # entry (i, j) of a sum: the coefficients dotted with entry (i, j) of each power
-    return [RationalMatrix(tuple(
-        tuple(sum(map(operator.mul, cs, entries)) for entries in zip(*rows))
-        for rows in zip(*(P.rows for P in powers))))
-        for cs in ([c(k) for k in range(len(powers))] for c in coeffs)]
+    return [_combination((c(k), P) for k, P in enumerate(powers)) for c in coeffs]
 
 
 def _exp_coeff(k: int) -> Fraction:

@@ -69,8 +69,8 @@ def random_quasi_unipotent(rng: random.Random, d: int):
                 for j in range(i + 1, k):
                     u_rows[pos + i][pos + j] = Fraction(rng.randint(-2, 2))
             pos += k
-    S0 = RationalMatrix(tuple(tuple(row) for row in s_rows))
-    U0 = RationalMatrix(tuple(tuple(row) for row in u_rows))
+    S0 = RationalMatrix.from_rows(s_rows)
+    U0 = RationalMatrix.from_rows(u_rows)
     P = random_unimodular(rng, d)
     M = P * (S0 * U0) * P.inverse()
     return M, unipotent

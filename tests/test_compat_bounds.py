@@ -11,7 +11,7 @@ from monobound.compat_bounds import (
     p_part_c_d,
     refined_bound,
 )
-from monobound import numtheory
+from monobound import compat_bounds, numtheory
 from monobound.errors import UnstableCertificateError, ValidationError
 from monobound.group_orders import c_ell_d_int
 from monobound.numtheory import SIEVE_LIMIT
@@ -277,6 +277,32 @@ def test_refined_bound_examples():
     rb = refined_bound(2, 3)
     assert rb.tame_max == 6
     assert rb.wild_part.value() == 3
+
+
+def _totient(n):
+    result, m, r = n, n, 2
+    while r * r <= m:
+        if m % r == 0:
+            result -= result // r
+            while m % r == 0:
+                m //= r
+        r += 1
+    return result - result // m if m > 1 else result
+
+
+def test_tame_lcm_is_the_lcm_of_the_tame_set():
+    # the tame sets grow with d, so one pass over the set at d = 3000 in
+    # order of phi gives lcm(phi_inverse_set(d)) for every d <= 3000
+    top = 3000
+    by_phi = sorted((_totient(i), i) for i in numtheory.phi_inverse_set(top))
+    lcm, k = 1, 0
+    for d in range(1, top + 1):
+        while k < len(by_phi) and by_phi[k][0] <= d:
+            lcm, k = math.lcm(lcm, by_phi[k][1]), k + 1
+        assert compat_bounds._tame_lcm(d) == lcm, d
+        if d <= 30 or d % 499 == 0:
+            assert refined_bound(d, 5).tame_lcm == lcm == math.lcm(
+                *numtheory.phi_inverse_set(d)), d
 
 
 def test_refined_bound_validation():

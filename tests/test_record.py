@@ -95,8 +95,7 @@ def test_dataclass_style_repr():
     assert repr(ScanCertificate(2, None, 2, (2, 3), ((2, 3), (3, 2)), False)) == (
         "ScanCertificate(d=2, excluded_p=None, primes_scanned=2, "
         "candidate_primes_q=(2, 3), witnesses=((2, 3), (3, 2)), stable=False)")
-    assert repr(RationalMatrix(((Fraction(1, 2),),))) == (
-        "RationalMatrix(rows=((Fraction(1, 2),),))")
+    assert repr(RationalMatrix(((1,),), 2)) == "RationalMatrix(num=((1,),), den=2)"
 
 
 def test_validation_runs_on_every_construction():
@@ -112,6 +111,16 @@ def test_validation_runs_on_every_construction():
         VarietyInvariants(n=2, b=(0, 22), c=())
     with pytest.raises(ValidationError, match="unknown family kind"):
         FamilySpec("torus", 1)
+
+
+def test_a_matrix_is_normalized_once_at_construction():
+    # equal matrices are equal records, whatever numerators and denominator
+    # they were given, and so they hash alike
+    a = RationalMatrix(((2, 4), (6, 8)), -2)
+    b = RationalMatrix(((-1, -2), (-3, -4)))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]] * 2) == (
+        RationalMatrix(((3, 2), (3, 2)), 6))
 
 
 def test_copy_and_pickle_rebuild_an_equal_record():

@@ -1,10 +1,13 @@
 import pytest
 
+from monobound import variety_bounds
 from monobound.errors import (
     DimensionTooSmallError,
     NegativeBettiError,
+    UnstableCertificateError,
     ValidationError,
 )
+from monobound.numtheory import SIEVE_LIMIT
 from monobound.variety_bounds import (
     VarietyInvariants,
     bound,
@@ -119,3 +122,21 @@ def test_bound_h_validation():
         bound(P2, 5, 3)
     with pytest.raises(ValidationError):
         bound(P2, 5, 0)
+
+
+def test_an_entry_past_the_prime_table_is_refused_before_any_scan(monkeypatch):
+    # d-vector (6, SIEVE_LIMIT): with two scanned primes d_1 = 6 is
+    # unstable, but d_2 is refused first, with no scan of d_1 (the n = 511
+    # cubic's d_25 = 44 739 242 used to wait for 24 scans up to 22 369 623)
+    inv = VarietyInvariants(n=2, b=(0, SIEVE_LIMIT), c=(-4,))
+    with pytest.raises(UnstableCertificateError):
+        bound(inv, 5, 1, scan_depth=2)
+    assert bound(inv, 5, 1).d_vector.entries == (6, SIEVE_LIMIT)
+
+    def no_scan(*args):
+        raise AssertionError("c_d ran")
+    monkeypatch.setattr(variety_bounds, "c_d", no_scan)
+    for b_2 in (SIEVE_LIMIT - 1, 10 ** 5000):
+        inv = VarietyInvariants(n=2, b=(0, b_2), c=(-4,))
+        with pytest.raises(ValidationError, match="d_2 \\+ 1 >= SIEVE_LIMIT"):
+            bound(inv, 5, scan_depth=2)

@@ -63,7 +63,7 @@ def test_inverse():
 def fraction_product(A, B):
     """Entrywise sums of Fraction products, the reference for __mul__."""
     cols = list(zip(*B.rows))
-    return RationalMatrix(tuple(
+    return RM(tuple(
         tuple(sum((a * b for a, b in zip(row, col)), Fraction(0))
               for col in cols)
         for row in A.rows))
@@ -356,14 +356,96 @@ def test_the_library_takes_exact_numbers_only(monkeypatch):
             RM([[1, 0], [0, bad]])
 
 
-def test_the_constructor_takes_fractions_only():
+def test_the_constructor_takes_ints_only_and_normalizes():
     # the record itself refuses what from_rows would have to convert: a
-    # float never reaches wd_pair, an int never makes char_poly return floats
-    for bad in (0.5, 1, True, "1"):
-        with pytest.raises(ValidationError, match="must be Fractions"):
-            RationalMatrix(((Fraction(1), Fraction(0)), (Fraction(0), bad)))
-    rows = ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
-    assert RationalMatrix(rows) == RM([[1, 2], [3, 4]])
+    # float never reaches wd_pair, a Fraction never hides a second denominator
+    M = RationalMatrix(((2, 4), (6, 8)), -2)
+    assert (M.num, M.den) == (((-1, -2), (-3, -4)), 1)
+    assert M == RM([[-1, -2], [-3, -4]])
+    assert RationalMatrix(((0, 0), (0, 0)), -7) == RationalMatrix(((0, 0), (0, 0)))
+    assert RationalMatrix(((3,),), 6) == RM([[Fraction(1, 2)]])
+    for bad in (0.5, True, "1", Fraction(1)):
+        with pytest.raises(ValidationError, match="must be ints"):
+            RationalMatrix(((1, 0), (0, bad)))
+        with pytest.raises(ValidationError, match="must be ints"):
+            RationalMatrix(((1, 0), (0, 1)), bad)
+    with pytest.raises(ValidationError, match="nonzero int"):
+        RationalMatrix(((1, 0), (0, 1)), 0)
+    assert RationalMatrix(((1, 2), (3, 4))) == RM([[1, 2], [3, 4]])
+
+
+def _in_lowest_terms(M):
+    return M.den >= 1 and math.gcd(M.den, *(x for row in M.num for x in row)) == 1
+
+
+def _fraction_entrywise(f, *mats):
+    """f applied to the Fraction entries at each (i, j), the reference for - and scale."""
+    return RM([[f(*xs) for xs in zip(*rows)] for rows in zip(*(M.rows for M in mats))])
+
+
+def _fraction_series(X, coeff):
+    """sum coeff(k) X^k by Fraction products, up to the first zero power."""
+    d = X.dim
+    total = RM([[coeff(0) * (i == j) for j in range(d)] for i in range(d)])
+    power, k = X, 1
+    while not all(a == 0 for row in power.rows for a in row):
+        total = _fraction_entrywise(lambda t, a: t + coeff(k) * a, total, power)
+        power, k = fraction_product(power, X), k + 1
+    return total
+
+
+def test_integer_arithmetic_matches_fraction_reference():
+    rng = random.Random(43)
+    cases = list(_pivot_edge_cases())
+    cases += [_random_rational(rng, rng.randint(1, 6)) for _ in range(120)]
+    cases += [RM([[Fraction(rng.randint(-9, 9), rng.randint(1, 9))]]) for _ in range(10)]
+    negative_det = 0
+    for A in cases:
+        d = A.dim
+        B = _random_rational(rng, d)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        e = rng.randint(0, 4)
+        results = [A * B, A - B, A.scale(c), A.power(e)]
+        assert results[0] == fraction_product(A, B)
+        assert results[1] == _fraction_entrywise(lambda a, b: a - b, A, B)
+        assert results[2] == _fraction_entrywise(lambda a: c * a, A)
+        expected = RationalMatrix.identity(d)
+        for _ in range(e):
+            expected = fraction_product(expected, A)
+        assert results[3] == expected
+        det = faddeev_leverrier(A)[0] * (-1) ** d
+        if det != 0:
+            negative_det += det < 0
+            inverse = A.inverse()
+            assert fraction_product(A, inverse) == RationalMatrix.identity(d)
+            assert fraction_product(A.power(2), A.power(-2)) == RationalMatrix.identity(d)
+            results += [inverse, A.power(-3)]
+        assert all(_in_lowest_terms(R) and RM(R.rows) == R for R in results)
+    assert negative_det > 20
+    # log and exp on conjugated strictly upper triangular rational matrices
+    for _ in range(40):
+        d = rng.randint(1, 5)
+        P = random_unimodular(rng, d)
+        T = RM([[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if j > i else 0
+                 for j in range(d)] for i in range(d)])
+        N = P * T * P.inverse()
+        E = nilpotent_exp(N)
+        assert E == _fraction_series(N, lambda k: Fraction(1, math.factorial(k)))
+        X = E - RationalMatrix.identity(d)
+        assert nilpotent_log(E) == _fraction_series(
+            X, lambda k: Fraction((-1) ** (k + 1), k) if k else 0) == N
+        assert _in_lowest_terms(E) and _in_lowest_terms(nilpotent_log(E))
+
+
+def test_wd_pair_reads_the_fraction_grid_once(monkeypatch):
+    # only char_poly reads `rows`; every other step stays on the integers
+    M, _ = random_quasi_unipotent(random.Random(16), 16)
+    reads = []
+    rows = RationalMatrix.rows
+    monkeypatch.setattr(RationalMatrix, "rows",
+                        property(lambda M: reads.append(M) or rows.fget(M)))
+    wd_pair(M, 1)
+    assert len(reads) <= 1
 
 
 def test_int_and_fraction_inputs_are_unchanged():
