@@ -10,17 +10,17 @@ nothing; each candidate needs a witness.  For odd q the minimal
 valuation over all primes ell is attained at any primitive root ell mod
 q^2, which makes e = q - 1 maximal and v_q(ell^e - 1) = 1, so it is
 k + v_q(k!) with k = floor(d / (q - 1)) (Minkowski's bound; Serre 2007).
-c_d reads the exponent from that closed form at the first scanned
-primitive root; a q without one has no witness, and c_d raises
-UnstableCertificateError with the certificate.  For q = 2 the valuation
-depends only on ell mod 8, so covering all four odd residue classes
-mod 8 certifies the minimum over the scan.
+c_ds searches the scan once per q for its first primitive root, the
+witness, and reads every d's exponent from that closed form; a q
+without one has no witness, and c_ds raises UnstableCertificateError.
+For q = 2 the valuation depends only on ell mod 8, so covering all four
+odd residue classes mod 8 certifies the minimum over the scan.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ._record import Record
 from .errors import UnstableCertificateError, ValidationError
@@ -77,22 +77,20 @@ def _v2_of_order(ell: int, d: int) -> int:
             + _v_factorial(h, 2))
 
 
-def c_d(d: int, p: Optional[int] = None,
-        scan_depth: int = DEFAULT_SCAN_DEPTH) -> Tuple[FactoredInt, ScanCertificate]:
-    """Certified gcd of the per-prime constants over all primes != p.
+def c_ds(ds: Sequence[int], p: Optional[int] = None, scan_depth: int = DEFAULT_SCAN_DEPTH
+         ) -> Tuple[Tuple[FactoredInt, ScanCertificate], ...]:
+    """(value, certificate) per d in ds: the certified gcd over all primes != p.
 
-    Candidates are the primes q <= d + 1, read from the prime table, so
-    d + 1 >= numtheory.SIEVE_LIMIT raises ValidationError, as does a
-    scan_depth beyond MAX_SCAN_DEPTH, before any work.  The scan is the
-    first scan_depth primes != p.  An odd q takes k + v_q(k!) from its
-    first scanned primitive root mod q^2, its witness; q = 2 takes the
-    least LTE valuation over the scan.  The returned certificate is
-    always stable and proves the value.  When the scan lacks a root for
-    some odd q or misses an odd residue class mod 8, the whole
-    certificate is built and UnstableCertificateError carries it.
+    The candidates are the primes q <= max(ds) + 1, read from the prime
+    table once, so max(ds) + 1 >= numtheory.SIEVE_LIMIT raises
+    ValidationError before any work, as do a negative d and a scan_depth
+    beyond MAX_SCAN_DEPTH.  One scan of the first scan_depth primes != p
+    finds each odd q's witness once, and each d reads those of its own
+    q <= d + 1.  Each returned certificate is stable; at the first d in ds
+    whose certificate is not, UnstableCertificateError carries it whole.
     """
-    if d < 0:
-        raise ValidationError(f"dimension must be >= 0, got {d}")
+    if min(ds) < 0:
+        raise ValidationError(f"dimension must be >= 0, got {min(ds)}")
     if scan_depth < 2:
         raise ValidationError(f"scan_depth must be >= 2, got {scan_depth}")
     if scan_depth > MAX_SCAN_DEPTH:
@@ -100,42 +98,47 @@ def c_d(d: int, p: Optional[int] = None,
                               f"below SIEVE_LIMIT less one, got {scan_depth}")
     if p is not None and not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    # before any work, so that d + 1 >= SIEVE_LIMIT fails fast
-    candidates = primes_upto(d + 1)
+    # before any work, so that max(ds) + 1 >= SIEVE_LIMIT fails fast
+    odd_qs = primes_upto(max(ds) + 1)[1:]
     n = scan_depth + 1
     scanned = [ell for ell in primes_upto(min(n * n.bit_length(), SIEVE_LIMIT - 1))
                if ell != p][:scan_depth]
     # v_2 of the order depends only on ell mod 8; full coverage of the odd
     # residue classes certifies the minimum
-    stable = d == 0 or {1, 3, 5, 7} <= {ell % 8 for ell in scanned}
-    exponents, witnesses = {}, {}
-    for q in candidates:
-        if q == 2:
-            witnesses[2] = min(scanned, key=lambda ell: _v2_of_order(ell, d))
-            exponents[2] = _v2_of_order(witnesses[2], d)
-            continue
+    covered = {1, 3, 5, 7} <= {ell % 8 for ell in scanned}
+    roots = []  # per odd q, its witness or None
+    for q in odd_qs:
         rs = factorize(q - 1)
         # a primitive root mod q is one mod q^2 unless ell^(q-1) = 1 mod q^2
-        root = next((ell for ell in scanned if ell != q
-                     and all(pow(ell, (q - 1) // r, q) != 1 for r in rs)
-                     and pow(ell, q - 1, q * q) != 1), None)
-        if root is None:
-            stable = False
-            continue
-        k = d // (q - 1)
-        exponents[q], witnesses[q] = k + _v_factorial(k, q), root
+        roots.append(next((ell for ell in scanned if ell != q
+                           and all(pow(ell, (q - 1) // r, q) != 1 for r in rs)
+                           and pow(ell, q - 1, q * q) != 1), None))
+    results = []
+    for d in ds:
+        m = next((i for i, q in enumerate(odd_qs) if q > d + 1), len(odd_qs))
+        witnesses = {q: root for q, root in zip(odd_qs[:m], roots) if root is not None}
+        exponents = {q: (k := d // (q - 1)) + _v_factorial(k, q) for q in witnesses}
+        if d:  # q = 2: the first scanned prime of least 2-valuation, per d
+            exponents[2], witnesses[2] = min((_v2_of_order(ell, d), ell)
+                                             for ell in scanned)
+        cert = ScanCertificate(
+            d=d,
+            excluded_p=p,
+            primes_scanned=scan_depth,
+            candidate_primes_q=((2,) if d else ()) + odd_qs[:m],
+            witnesses=tuple(sorted(witnesses.items())),
+            stable=(d == 0 or covered) and None not in roots[:m],
+        )
+        if not cert.stable:
+            raise UnstableCertificateError(cert)
+        results.append((FactoredInt.from_dict(exponents), cert))
+    return tuple(results)
 
-    cert = ScanCertificate(
-        d=d,
-        excluded_p=p,
-        primes_scanned=scan_depth,
-        candidate_primes_q=candidates,
-        witnesses=tuple(sorted(witnesses.items())),
-        stable=stable,
-    )
-    if not stable:
-        raise UnstableCertificateError(cert)
-    return FactoredInt.from_dict(exponents), cert
+
+def c_d(d: int, p: Optional[int] = None,
+        scan_depth: int = DEFAULT_SCAN_DEPTH) -> Tuple[FactoredInt, ScanCertificate]:
+    """The certified gcd and its certificate for one dimension d, from c_ds."""
+    return c_ds((d,), p, scan_depth)[0]
 
 
 def p_part_c_d(d: int, p: int, scan_depth: int = DEFAULT_SCAN_DEPTH) -> FactoredInt:

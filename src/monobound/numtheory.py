@@ -41,7 +41,7 @@ def _table(n: int) -> bytearray:
     if n < len(table):
         return table
     if n >= SIEVE_LIMIT:
-        raise ValidationError(f"primes up to {n} requested; SIEVE_LIMIT is {SIEVE_LIMIT}")
+        raise ValidationError(f"primes requested at or past SIEVE_LIMIT = {SIEVE_LIMIT}")
     size = min(max(n + 1, 2 * len(table)), SIEVE_LIMIT)
     table = bytearray(b"\0\0") + b"\1" * (size - 2)
     for p in range(2, math.isqrt(size - 1) + 1):

@@ -15,9 +15,9 @@ import math
 from typing import Optional, Tuple
 
 from ._record import Record
-from .compat_bounds import DEFAULT_SCAN_DEPTH, ScanCertificate, c_d
+from .compat_bounds import DEFAULT_SCAN_DEPTH, ScanCertificate, c_ds
 from .errors import DimensionTooSmallError, NegativeBettiError, ValidationError
-from .numtheory import FACTORED_ONE, SIEVE_LIMIT, FactoredInt
+from .numtheory import FACTORED_ONE, FactoredInt
 
 
 class VarietyInvariants(Record):
@@ -84,20 +84,15 @@ def bound(inv: VarietyInvariants, p: int, h: Optional[int] = None,
           scan_depth: int = DEFAULT_SCAN_DEPTH) -> BoundReport:
     """Product of the certified gcd constants over the first h derived entries.
 
-    An entry past the prime table (d_j + 1 >= SIEVE_LIMIT) raises
-    ValidationError before the first scan.
+    One witness scan, for the largest entry, serves every entry (c_ds), so
+    an entry past the prime table raises ValidationError before any scan.
     """
     if h is None:
         h = inv.n
     if not 1 <= h <= inv.n:
         raise ValidationError(f"h must lie in 1..{inv.n}, got {h}")
     dv = d_vector(inv)
-    j = next((j for j, d_j in enumerate(dv.entries[:h], 1) if d_j + 1 >= SIEVE_LIMIT), None)
-    if j is not None:
-        # the value itself may pass the int-to-str digit limit
-        raise ValidationError(f"d_{j} + 1 >= SIEVE_LIMIT = {SIEVE_LIMIT}: c_d(d_{j}) "
-                              "needs primes past the prime table")
-    factors, certs = zip(*(c_d(d_j, p, scan_depth) for d_j in dv.entries[:h]))
+    factors, certs = zip(*c_ds(dv.entries[:h], p, scan_depth))
     return BoundReport(d_vector=dv, factors=factors,
                        product=math.prod(factors, start=FACTORED_ONE), certificates=certs)
 

@@ -60,10 +60,11 @@ class RationalMatrix(Record):
         num, den = self.num, self.den
         if not num or any(len(row) != len(num) for row in num):
             raise ValueError("matrix must be square and nonempty")
-        if type(den) is not int or not den or not all(
-                type(x) is int for row in num for x in row):
-            raise ValidationError("matrix entries must be ints over a nonzero int "
-                                  "denominator (from_rows takes Fractions)")
+        if (type(den) is not int or not den or type(num) is not tuple
+                or not all(type(row) is tuple for row in num)
+                or not all(type(x) is int for row in num for x in row)):
+            raise ValidationError("matrix entries must be ints in tuple rows over a nonzero "
+                                  "int denominator (from_rows takes lists and Fractions)")
         # lowest terms with den > 0, once, here: equal matrices are equal records
         g = math.gcd(den, *(x for row in num for x in row)) * (-1 if den < 0 else 1)
         if g != 1:

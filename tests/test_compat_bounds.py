@@ -3,11 +3,14 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monobound.compat_bounds import (
     MAX_SCAN_DEPTH,
     ScanCertificate,
     c_d,
+    c_ds,
     p_part_c_d,
     refined_bound,
 )
@@ -234,6 +237,28 @@ def test_unstable_scan_is_reported_not_hidden():
                for q, ell in witnesses.items() if q > 2)
 
 
+@given(st.lists(st.integers(min_value=0, max_value=210), min_size=1, max_size=6),
+       st.sampled_from([None, 2, 3, 5]))
+@example([53, 0, 12, 204, 12, 1], 5)  # 0, a duplicate and unsorted order
+@settings(max_examples=40, deadline=None)
+def test_c_ds_reads_each_d_as_c_d_alone(ds, p):
+    assert c_ds(ds, p) == tuple(c_d(d, p) for d in ds)
+
+
+def test_c_ds_raises_at_the_first_unstable_d_with_its_c_d_certificate():
+    # two scanned primes miss residue classes mod 8: every d > 0 is unstable
+    with pytest.raises(UnstableCertificateError) as info:
+        c_ds((0, 6, 2), 7, scan_depth=2)
+    assert info.value.certificate == unstable_certificate(6, 7, 2)
+    # 2, ..., 17 hold no primitive root mod 191: d = 12 is stable, 190 and
+    # 204 are not, and the first of them in ds is the one reported
+    assert c_ds((12,), None, 7) == (c_d(12, None, 7),)
+    for ds, first in (((12, 190, 204), 190), ((204, 12, 190), 204)):
+        with pytest.raises(UnstableCertificateError) as info:
+            c_ds(ds, None, 7)
+        assert info.value.certificate == unstable_certificate(first, None, 7)
+
+
 def test_witness_is_a_primitive_root_mod_q_squared():
     # 11 is a primitive root mod 71 but 11^70 = 1 mod 71^2, so once p = 7
     # is out of the scan the witness of q = 71 is 13, not 11
@@ -331,6 +356,15 @@ def test_c_d_refuses_d_at_the_prime_table_limit_before_allocating():
         tracemalloc.stop()
     assert peak < 100_000
     assert numtheory._table_now is table
+
+
+def test_a_d_past_the_int_to_str_limit_is_refused_without_printing_it():
+    # the refusal names SIEVE_LIMIT, not d + 1, which has 5001 digits here
+    for f in (c_d, refined_bound):
+        with pytest.raises(ValidationError, match="SIEVE_LIMIT"):
+            f(10 ** 5000, 5)
+    with pytest.raises(ValidationError, match="SIEVE_LIMIT"):
+        c_ds((3, 10 ** 5000), 5)
 
 
 def test_max_scan_depth_is_the_prime_table_less_one(monkeypatch):

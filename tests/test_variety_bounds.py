@@ -1,6 +1,7 @@
 import pytest
 
-from monobound import variety_bounds
+from monobound import compat_bounds
+from monobound.chern_invariants import FamilySpec, invariants_of
 from monobound.errors import (
     DimensionTooSmallError,
     NegativeBettiError,
@@ -134,9 +135,32 @@ def test_an_entry_past_the_prime_table_is_refused_before_any_scan(monkeypatch):
     assert bound(inv, 5, 1).d_vector.entries == (6, SIEVE_LIMIT)
 
     def no_scan(*args):
-        raise AssertionError("c_d ran")
-    monkeypatch.setattr(variety_bounds, "c_d", no_scan)
+        raise AssertionError("the witness scan ran")
+    monkeypatch.setattr(compat_bounds, "factorize", no_scan)
     for b_2 in (SIEVE_LIMIT - 1, 10 ** 5000):
         inv = VarietyInvariants(n=2, b=(0, b_2), c=(-4,))
-        with pytest.raises(ValidationError, match="d_2 \\+ 1 >= SIEVE_LIMIT"):
+        with pytest.raises(ValidationError, match="SIEVE_LIMIT"):
             bound(inv, 5, scan_depth=2)
+
+
+def test_bound_scans_once_for_its_largest_entry(monkeypatch):
+    # the quintic threefold, d-vector (12, 53, 204): one factorization of
+    # q - 1 per odd q <= 205, where a scan per entry made 5 + 15 + 45
+    quintic = invariants_of(FamilySpec("hypersurface", 3, (5,)))
+    factorize, calls = compat_bounds.factorize, []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+    monkeypatch.setattr(compat_bounds, "factorize", counting)
+    rep = bound(quintic, 5)
+    assert rep.d_vector.entries == (12, 53, 204)
+    assert len(calls) == 45 and len(set(calls)) == 45
+    # each entry reads the witnesses of its own q <= d_j + 1 off that scan,
+    # and gets what c_d gives it alone
+    last = dict(rep.certificates[-1].witnesses)
+    for d_j, value, cert in zip(rep.d_vector.entries, rep.factors, rep.certificates):
+        assert cert.candidate_primes_q == tuple(q for q in last if q <= d_j + 1)
+        assert {q: ell for q, ell in cert.witnesses if q > 2} == {
+            q: ell for q, ell in last.items() if 2 < q <= d_j + 1}
+        assert (value, cert) == compat_bounds.c_d(d_j, 5)

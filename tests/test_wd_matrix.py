@@ -374,6 +374,15 @@ def test_the_constructor_takes_ints_only_and_normalizes():
     assert RationalMatrix(((1, 2), (3, 4))) == RM([[1, 2], [3, 4]])
 
 
+def test_the_constructor_refuses_list_rows():
+    # a list is unhashable and never equal to a tuple: such a record would
+    # break hashing and == ; from_rows is the way in for lists
+    for num in ([[1, 2], [3, 4]], [(1, 2), (3, 4)], ((1, 2), [3, 4])):
+        with pytest.raises(ValidationError, match="tuple rows"):
+            RationalMatrix(num)
+    assert hash(RM([[1, 2], [3, 4]])) == hash(RationalMatrix(((1, 2), (3, 4))))
+
+
 def _in_lowest_terms(M):
     return M.den >= 1 and math.gcd(M.den, *(x for row in M.num for x in row)) == 1
 
