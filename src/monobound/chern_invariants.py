@@ -20,7 +20,7 @@ import math
 from typing import List, Tuple
 
 from ._record import Record
-from .errors import InvariantViolationError, ValidationError
+from .errors import InvariantViolationError, ValidationError, int_text
 from .variety_bounds import VarietyInvariants
 
 
@@ -50,7 +50,7 @@ class FamilySpec(Record):
 
     def _check(self):
         if self.n < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.n}")
+            raise ValidationError(f"dimension must be >= 1, got {int_text(self.n)}")
         if self.kind == PROJECTIVE_SPACE:
             if self.degrees:
                 raise ValidationError("projective space takes no degrees")
@@ -63,7 +63,7 @@ class FamilySpec(Record):
         else:
             raise ValidationError(f"unknown family kind {self.kind!r}")
         if self.ambient_dim > MAX_AMBIENT_DIM:
-            raise ValidationError(f"ambient dimension {self.ambient_dim} exceeds "
+            raise ValidationError(f"ambient dimension {int_text(self.ambient_dim)} exceeds "
                                   f"MAX_AMBIENT_DIM = {MAX_AMBIENT_DIM}")
         if any(not 1 <= delta <= MAX_DEGREE for delta in self.degrees):
             raise ValidationError(f"all degrees must lie in 1..{MAX_DEGREE}")
@@ -137,7 +137,8 @@ def betti_vector(spec: FamilySpec) -> Tuple[int, ...]:
     off_middle = sum(1 for i in range(0, 2 * n + 1) if i % 2 == 0 and i != n)
     b_middle = (-1) ** n * (chi - off_middle)
     if b_middle < 0:
-        raise InvariantViolationError(f"middle Betti number came out negative: {b_middle}")
+        raise InvariantViolationError(
+            f"middle Betti number came out negative: {int_text(b_middle)}")
     return tuple((1 if i % 2 == 0 else 0) if i < n else b_middle
                  for i in range(1, n + 1))
 

@@ -106,10 +106,15 @@ def _decimal(v: int) -> str:
 
 def factored_to_json(f: FactoredInt, digit_limit: int) -> dict:
     """The factors, and the expanded "value" when it has at most
-    digit_limit digits (never when digit_limit is 0)."""
+    digit_limit digits (never when digit_limit <= 0).  The value is at
+    least 2^low and log2(10) < 10/3, so 3 * low >= 10 * digit_limit proves
+    it too long before it is built; otherwise its text's length decides."""
     out = {"factors": {str(p): e for p, e in f.factors}}
-    if f.digit_count() <= digit_limit:
-        out["value"] = _decimal(f.value())
+    low = sum(e * (p.bit_length() - 1) for p, e in f.factors)  # 2^low <= value
+    if 3 * low < 10 * digit_limit:
+        text = _decimal(f.value())
+        if len(text) <= digit_limit:
+            out["value"] = text
     return out
 
 
@@ -208,19 +213,28 @@ def _rational(x, what: str) -> Fraction:
 
 
 def matrix_from_json(obj) -> RationalMatrix:
-    from .wd_matrix import RationalMatrix
+    """The shape is checked, and the size capped, before any entry is read."""
+    from .wd_matrix import MAX_MATRIX_DIM, RationalMatrix
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise MalformedInputError("bad matrix payload: need an array of row "
                                   f"arrays, got {json.dumps(obj)}")
-    rows = tuple(tuple(_rational(x, "matrix payload") for x in row) for row in obj)
-    try:
-        return RationalMatrix.from_rows(rows)
-    except ValueError as exc:  # not square
-        raise MalformedInputError(f"bad matrix payload: {exc}") from exc
+    if not obj or any(len(row) != len(obj) for row in obj):
+        raise MalformedInputError("bad matrix payload: matrix must be square and nonempty")
+    if len(obj) > MAX_MATRIX_DIM:
+        raise ValidationError(f"matrix dimension {len(obj)} exceeds "
+                              f"MAX_MATRIX_DIM = {MAX_MATRIX_DIM}")
+    return RationalMatrix.from_rows(
+        tuple(tuple(_rational(x, "matrix payload") for x in row) for row in obj))
+
+
+def _rational_text(x: Fraction) -> str:
+    """str(x) for a Fraction of any length, from _decimal."""
+    text = "-" * (x.numerator < 0) + _decimal(abs(x.numerator))
+    return text if x.denominator == 1 else f"{text}/{_decimal(x.denominator)}"
 
 
 def matrix_to_json(M: RationalMatrix):
-    return [[str(x) for x in row] for row in M.rows]
+    return [[_rational_text(x) for x in row] for row in M.rows]
 
 
 # ---------------------------------------------------------------------- cache
@@ -399,7 +413,7 @@ def cmd_wd(args) -> dict:
     tau = _rational(args.tau, "tau")
     pair = wd_pair(matrix_from_json(obj["matrix"]), tau)
     return {"r": matrix_to_json(pair.r), "n": matrix_to_json(pair.n),
-            "tau": str(pair.tau)}
+            "tau": _rational_text(pair.tau)}
 
 
 def cmd_refined(args) -> dict:

@@ -23,7 +23,7 @@ import math
 from typing import Optional, Sequence, Tuple
 
 from ._record import Record
-from .errors import UnstableCertificateError, ValidationError
+from .errors import UnstableCertificateError, ValidationError, int_text
 from .numtheory import (
     SIEVE_LIMIT,
     FactoredInt,
@@ -90,12 +90,12 @@ def c_ds(ds: Sequence[int], p: Optional[int] = None, scan_depth: int = DEFAULT_S
     whose certificate is not, UnstableCertificateError carries it whole.
     """
     if min(ds) < 0:
-        raise ValidationError(f"dimension must be >= 0, got {min(ds)}")
+        raise ValidationError(f"dimension must be >= 0, got {int_text(min(ds))}")
     if scan_depth < 2:
-        raise ValidationError(f"scan_depth must be >= 2, got {scan_depth}")
+        raise ValidationError(f"scan_depth must be >= 2, got {int_text(scan_depth)}")
     if scan_depth > MAX_SCAN_DEPTH:
         raise ValidationError(f"scan_depth must be <= {MAX_SCAN_DEPTH}, the primes "
-                              f"below SIEVE_LIMIT less one, got {scan_depth}")
+                              f"below SIEVE_LIMIT less one, got {int_text(scan_depth)}")
     if p is not None and not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     # before any work, so that max(ds) + 1 >= SIEVE_LIMIT fails fast
@@ -183,7 +183,7 @@ def _tame_lcm(d: int) -> int:
 
 def refined_bound(d: int, p: int, scan_depth: int = DEFAULT_SCAN_DEPTH) -> RefinedBound:
     if d < 1:
-        raise ValidationError(f"refined bound needs d >= 1, got {d}")
+        raise ValidationError(f"refined bound needs d >= 1, got {int_text(d)}")
     tame = tuple(phi_inverse_set(d))
     value, cert = c_d(d, p, scan_depth)
     return RefinedBound(

@@ -6,6 +6,16 @@ scan certificates; the CLI maps each class to its own exit code.
 """
 
 
+def int_text(n: int) -> str:
+    """n in decimal for an error message, or, past 2000 bits, its sign and
+    bit length: str() refuses an int longer than the interpreter's digit
+    limit (4300 digits by default, never set below 640), which would turn
+    the typed error into a bare ValueError."""
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
 class ValidationError(ValueError):
     """Mathematically inconsistent input (CLI exit code 2)."""
 
@@ -22,7 +32,7 @@ class NegativeBettiError(ValidationError):
     def __init__(self, index, value):
         self.index = index
         self.value = value
-        super().__init__(f"derived Betti entry d_{index} = {value} is negative")
+        super().__init__(f"derived Betti entry d_{index} = {int_text(value)} is negative")
 
 
 class DimensionTooSmallError(ValidationError):

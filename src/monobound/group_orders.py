@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import UndecidedCofactorError, ValidationError
+from .errors import UndecidedCofactorError, ValidationError, int_text
 from .numtheory import FactoredInt, factorize, is_prime
 
 
@@ -25,7 +25,7 @@ def _check(ell: int, d: int) -> None:
     if not is_prime(ell):
         raise ValidationError(f"{ell} is not prime")
     if d < 0:
-        raise ValidationError(f"dimension must be >= 0, got {d}")
+        raise ValidationError(f"dimension must be >= 0, got {int_text(d)}")
 
 
 def _factored_order(ell: int, d: int, kernel_twos: int) -> FactoredInt:

@@ -19,7 +19,7 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from ._record import Record
-from .errors import UndecidedCofactorError, ValidationError
+from .errors import UndecidedCofactorError, ValidationError, int_text
 
 # Deterministic Miller-Rabin witness set for n < 2^64 (Sinclair / Jaeschke).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -77,7 +77,7 @@ def is_prime(n: int) -> bool:
     if n < 0:
         raise ValidationError("primality is defined for nonnegative integers")
     if n >= PRIMALITY_LIMIT:
-        raise ValidationError(f"primality check limited to n < 2**64, got {n}")
+        raise ValidationError(f"primality check limited to n < 2**64, got {int_text(n)}")
     table = _table_now
     if n < len(table):
         return table[n] == 1
@@ -131,7 +131,7 @@ def factorize(n: int) -> Dict[int, int]:
     UndecidedCofactorError.  A perfect square is split at its root first.
     """
     if n < 1:
-        raise ValueError(f"cannot factor {n}; need n >= 1")
+        raise ValueError(f"cannot factor {int_text(n)}; need n >= 1")
     factors: Dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -157,7 +157,7 @@ def factorize(n: int) -> Dict[int, int]:
                  else _pollard_rho(m, RHO_MAX_STEPS))
             if d is None:
                 raise UndecidedCofactorError(
-                    f"cofactor {m} exceeds the deterministic primality range")
+                    f"cofactor {int_text(m)} exceeds the deterministic primality range")
         stack += [d, m // d]
     return factors
 
@@ -180,7 +180,7 @@ class FactoredInt(Record):
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if e < 1:
-                raise ValueError(f"exponent of {p} must be >= 1, got {e}")
+                raise ValueError(f"exponent of {p} must be >= 1, got {int_text(e)}")
             last = p
 
     @classmethod
@@ -192,20 +192,6 @@ class FactoredInt(Record):
 
     def value(self) -> int:
         return math.prod(p ** e for p, e in self.factors)
-
-    def digit_count(self) -> int:
-        """Exact number of decimal digits of the value.
-
-        log10 of the value is summed from the factors in floating point,
-        with relative error far below 2^-40.  Only when that sum lies
-        that close to an integer k is the value built and compared with
-        10^k.
-        """
-        log = math.fsum(e * math.log10(p) for p, e in self.factors)
-        k = round(log)
-        if abs(log - k) > (log + 1) * 2.0 ** -40:
-            return math.floor(log) + 1
-        return k + (self.value() >= 10 ** k)
 
     def __mul__(self, other: "FactoredInt") -> "FactoredInt":
         merged = self.as_dict()
@@ -243,7 +229,7 @@ def phi_inverse_set(d: int) -> List[int]:
     stays <= d; every node is an answer.
     """
     if d < 1:
-        raise ValueError(f"phi_inverse_set needs d >= 1, got {d}")
+        raise ValueError(f"phi_inverse_set needs d >= 1, got {int_text(d)}")
     rs = primes_upto(d + 1)
     found = []
     stack = [(0, 1, 1)]  # (index of the least usable prime, i, phi(i))
@@ -268,7 +254,7 @@ def valuation(n: int, q: int) -> int:
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if n < 1:
-        raise ValueError(f"valuation needs n >= 1, got {n}")
+        raise ValueError(f"valuation needs n >= 1, got {int_text(n)}")
     v = 0
     while n % q == 0:
         n //= q

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 from ._record import Record
 from .compat_bounds import DEFAULT_SCAN_DEPTH, ScanCertificate, c_ds
-from .errors import DimensionTooSmallError, NegativeBettiError, ValidationError
+from .errors import DimensionTooSmallError, NegativeBettiError, ValidationError, int_text
 from .numtheory import FACTORED_ONE, FactoredInt
 
 
@@ -33,16 +33,16 @@ class VarietyInvariants(Record):
 
     def _check(self):
         if self.n < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.n}")
+            raise ValidationError(f"dimension must be >= 1, got {int_text(self.n)}")
         if len(self.b) != self.n:
             raise ValidationError(
-                f"expected {self.n} Betti entries, got {len(self.b)}")
+                f"expected {int_text(self.n)} Betti entries, got {len(self.b)}")
         if len(self.c) != self.n - 1:
             raise ValidationError(
                 f"expected {self.n - 1} section characteristics, got {len(self.c)}")
         for i, bi in enumerate(self.b, start=1):
             if bi < 0:
-                raise ValidationError(f"b_{i} = {bi} is negative")
+                raise ValidationError(f"b_{i} = {int_text(bi)} is negative")
 
 
 class DVector(Record):
@@ -90,7 +90,7 @@ def bound(inv: VarietyInvariants, p: int, h: Optional[int] = None,
     if h is None:
         h = inv.n
     if not 1 <= h <= inv.n:
-        raise ValidationError(f"h must lie in 1..{inv.n}, got {h}")
+        raise ValidationError(f"h must lie in 1..{inv.n}, got {int_text(h)}")
     dv = d_vector(inv)
     factors, certs = zip(*c_ds(dv.entries[:h], p, scan_depth))
     return BoundReport(d_vector=dv, factors=factors,

@@ -42,6 +42,9 @@ from .errors import (
 )
 from .numtheory import phi_inverse_set
 
+# Largest matrix the CLI reads: wd_pair takes about 13 s at d = 64, most of
+# it in char_poly, so a larger payload is refused before any entry is read.
+MAX_MATRIX_DIM = 64
 
 def _exact(x) -> Fraction:
     """x as a Fraction when it is an int (not a bool) or a Fraction."""

@@ -27,6 +27,7 @@ from monobound.cli import (
     main,
 )
 from monobound.compat_bounds import DEFAULT_SCAN_DEPTH, refined_bound
+from monobound.numtheory import FactoredInt, factorize
 from monobound.variety_bounds import bound
 
 
@@ -128,6 +129,29 @@ def test_value_digit_limit_expands_exactly_the_short_values(capsys):
     code, out = run_cli(capsys, "cd", "--d", "3000", "--p", "5",
                         "--value-digit-limit", "11196")
     assert code == EXIT_OK and "value" not in out["value"]
+
+
+def test_factored_value_expands_up_to_exactly_its_digits():
+    # 10^k itself, its neighbours and 2^k sit on or next to a digit boundary
+    cases = [{2: k, 5: k} for k in (0, 1, 2, 17, 300, 4000, 9000)]
+    cases += [{2: k} for k in (1, 3, 4, 10, 332, 333, 20000)]
+    cases += [factorize(10 ** k + s) for k in range(1, 20) for s in (-1, 1)]
+    cases += [{2: 3600 + 1770, 3: 5, 7: 2}, {3: 5000, 11: 77, 2 ** 61 - 1: 3}]
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    old = get_limit()
+    for factors in cases:
+        f = FactoredInt.from_dict(factors)
+        v = f.value()
+        digits = decimal_digits(v)
+        # written under the interpreter's int-to-str limit, read past it
+        at, below = factored_to_json(f, digits), factored_to_json(f, digits - 1)
+        assert "value" not in below, factors
+        set_limit(0)
+        try:
+            assert int(at["value"]) == v, factors
+        finally:
+            set_limit(old)
 
 
 def test_invariant_violation_exit_code(capsys, tmp_path, monkeypatch):
@@ -285,6 +309,47 @@ def test_wd_decompose_rational_entries(capsys, tmp_path):
     assert code == EXIT_OK
     assert out["n"] == [["0", "3/2"], ["0", "0"]]
     assert out["tau"] == "1/3"
+
+
+@pytest.mark.parametrize("matrix, tau", [
+    ([["0", "-3/2"], ["2/3", "0"]], "-3/2"),
+    ([["0", "5"], ["-1/5", "0"]], "5"),
+])
+def test_wd_decompose_round_trips_rational_entries(capsys, tmp_path, matrix, tau):
+    # M of order 4: r = M and N = 0
+    path = write_input(tmp_path, {"matrix": matrix})
+    code, out = run_cli(capsys, "wd-decompose", "--input", path, f"--tau={tau}")
+    assert code == EXIT_OK
+    assert out == {"r": matrix, "n": [["0", "0"], ["0", "0"]], "tau": tau}
+
+
+def test_wd_decompose_writes_entries_past_the_int_digit_limit(capsys, tmp_path):
+    # N[0][1] = 10^4000 / 10^-4000 has 8001 digits, past the 4300 that
+    # str() converts by default
+    big = "1" + "0" * 4000
+    path = write_input(tmp_path, {"matrix": [[1, big], [0, 1]]})
+    code, out = run_cli(capsys, "wd-decompose", "--input", path, "--tau", "1/" + big)
+    assert code == EXIT_OK
+    assert out == {"r": [["1", "0"], ["0", "1"]],
+                   "n": [["0", "1" + "0" * 8000], ["0", "0"]], "tau": "1/" + big}
+
+
+def test_matrix_shape_and_size_are_checked_before_any_entry(capsys, tmp_path):
+    path = write_input(tmp_path, {"matrix": [[0] * 64] * 65})
+    code, out = run_cli(capsys, "wd-decompose", "--input", path)
+    assert code == EXIT_MALFORMED
+    assert out["error"] == {"type": "MalformedInput", "message":
+                            "bad matrix payload: matrix must be square and nonempty"}
+    path = write_input(tmp_path, {"matrix": [[0] * 65] * 65})
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "wd-decompose", "--input", path)
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_VALIDATION and out["error"]["type"] == "ValidationError"
+    assert "MAX_MATRIX_DIM = 64" in out["error"]["message"]
+    # at the cap the matrix is read, and refused for what it is
+    path = write_input(tmp_path, {"matrix": [[0] * 64] * 64})
+    code, out = run_cli(capsys, "wd-decompose", "--input", path)
+    assert code == EXIT_VALIDATION and out["error"]["type"] == "SingularInputError"
 
 
 def test_wd_decompose_signed_and_fraction_entries(capsys, tmp_path):

@@ -62,18 +62,6 @@ def test_is_prime_rejects_huge():
             is_prime(n)
 
 
-def test_digit_count_is_exact():
-    # 10^k itself, its neighbours and 2^k sit on or next to a digit boundary
-    cases = [{2: k, 5: k} for k in (0, 1, 2, 17, 300, 4000, 9000)]
-    cases += [{2: k} for k in (1, 3, 4, 10, 332, 333, 20000)]
-    cases += [factorize(10 ** k + s) for k in range(1, 20) for s in (-1, 1)]
-    cases += [{2: 3600 + 1770, 3: 5, 7: 2}, {3: 5000, 11: 77, 2 ** 61 - 1: 3}]
-    for factors in cases:
-        f = FactoredInt.from_dict(factors)
-        v, digits = f.value(), f.digit_count()
-        assert 10 ** (digits - 1) <= v < 10 ** digits, factors
-
-
 def test_factorize_round_trip():
     for n in range(1, 10_001):
         f = factorize(n)

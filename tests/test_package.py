@@ -1,9 +1,12 @@
-"""The package's public names, and which modules each entry point loads."""
+"""The package's public names, which modules each entry point loads, and
+what the library's source holds."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +136,22 @@ def test_uncached_cd_loads_no_hashlib():
             "    assert main(['cd', '--d', '2', '--p', '7']) == 0\n"
             "assert preloaded or 'hashlib' not in sys.modules, 'hashlib was loaded'")
     assert "monobound.compat_bounds" in loaded_modules(body)
+
+
+# float() and the math functions that answer in floating point
+FLOAT_NAMES = {"float", "fsum", "floor", "ceil", "sqrt", "exp"}
+
+
+def test_library_source_holds_no_float():
+    # every answer is exact: no float literal, and no name (call, attribute
+    # or import) of a float function, math.log* included
+    found = []
+    for path in sorted(Path(monobound.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else "")
+            if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                    or name in FLOAT_NAMES or name.startswith("log")):
+                found.append(f"{path.name}:{node.lineno}: {name or node.value!r}")
+    assert found == []

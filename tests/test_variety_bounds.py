@@ -2,6 +2,7 @@ import pytest
 
 from monobound import compat_bounds
 from monobound.chern_invariants import FamilySpec, invariants_of
+from monobound.group_orders import c_ell_d
 from monobound.errors import (
     DimensionTooSmallError,
     NegativeBettiError,
@@ -123,6 +124,33 @@ def test_bound_h_validation():
         bound(P2, 5, 3)
     with pytest.raises(ValidationError):
         bound(P2, 5, 0)
+
+
+BIG = 10 ** 5000  # 16610 bits: str() refuses it under the default digit limit
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: compat_bounds.c_d(-BIG), ValidationError),
+    (lambda: compat_bounds.c_d(2, BIG), ValidationError),  # through is_prime
+    (lambda: compat_bounds.c_d(2, 5, BIG), ValidationError),
+    (lambda: compat_bounds.c_d(2, 5, -BIG), ValidationError),
+    (lambda: compat_bounds.refined_bound(-BIG, 5), ValidationError),
+    (lambda: c_ell_d(BIG, 2), ValidationError),
+    (lambda: c_ell_d(3, -BIG), ValidationError),
+    (lambda: FamilySpec("projective_space", BIG), ValidationError),
+    (lambda: FamilySpec("projective_space", -BIG), ValidationError),
+    (lambda: VarietyInvariants(n=2, b=(0, -BIG), c=(1,)), ValidationError),
+    (lambda: d_vector(VarietyInvariants(n=2, b=(0, 0), c=(BIG,))), NegativeBettiError),
+    (lambda: bound(P2, 5, BIG), ValidationError),
+], ids=["c_d-d", "c_d-p", "c_d-depth", "c_d-negative-depth", "refined_bound-d",
+        "c_ell_d-ell", "c_ell_d-d", "FamilySpec-n", "FamilySpec-negative-n",
+        "VarietyInvariants-b", "d_vector-c", "bound-h"])
+def test_oversize_ints_keep_their_typed_errors(call, error):
+    # the message names the bit length in place of the digits
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert "<16610-bit integer>" in str(info.value)
 
 
 def test_an_entry_past_the_prime_table_is_refused_before_any_scan(monkeypatch):
