@@ -8,16 +8,17 @@ matrices, and the resulting finite-order-plus-nilpotent pair
 r * exp(tau * N).
 
 Everything answers from one characteristic polynomial, computed by
-Hessenberg reduction in O(d^3).  M is quasi-unipotent exactly when that
-polynomial is a product of cyclotomic polynomials Phi_i (each with
-phi(i) <= d), which is integral, so the Phi_i are divided out over Z;
-the order m of the semisimple part is the lcm of those i.  The split
+Faddeev-LeVerrier on the integer matrix in d - 1 products (O(d^4)).  M
+is quasi-unipotent exactly when that polynomial is a product of
+cyclotomic polynomials Phi_i (each with phi(i) <= d), which is
+integral, so the Phi_i are divided out over Z; the order m of the
+semisimple part is the lcm of those i.  The split
 itself is read from m: M^m is the m-th power of the unipotent part, so
 L = log U = log(M^m) / m, and M^m costs O(log m) products by repeated
 squaring.  log and exp share one terminating power series, and one list
 of powers of L gives both exp(L) and exp(-L); `jordan_chevalley` and
 `wd_pair` read the same split.  A matrix is one integer matrix over one
-denominator, and all but the char poly work on those integers alone.
+denominator, and every step works on those integers alone.
 
 Everything is over exact rationals; equality checks are exact, there are
 no tolerances anywhere.
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .numtheory import phi_inverse_set
 
-# Largest matrix the CLI reads: wd_pair takes about 13 s at d = 64, most of
+# Largest matrix the CLI reads: wd_pair takes about 5 s at d = 64, most of
 # it in char_poly, so a larger payload is refused before any entry is read.
 MAX_MATRIX_DIM = 64
 
@@ -156,45 +157,24 @@ class RationalMatrix(Record):
     def char_poly(self) -> List[Fraction]:
         """Characteristic polynomial, low-to-high coefficients, monic of degree d.
 
-        Reduces a copy to upper Hessenberg form H by similarity (row
-        elimination below the subdiagonal, each step undone on the
-        columns), then runs the recurrence on the leading principal
-        minors of x - H.  O(d^3) exact rational operations.
+        Faddeev-LeVerrier on the integer matrix A = num: B_1 = A,
+        a_(d-k) = -tr(B_k) / k and B_(k+1) = A (B_k + a_(d-k) I).  A's
+        char poly is integral, so every division is exact, and
+        M = A / den has coefficients a_k / den^(d-k).  d - 1 integer
+        products, O(d^4) operations.
         """
         d = self.dim
-        H = [list(row) for row in self.rows]
-        for m in range(1, d - 1):
-            pivot = next((i for i in range(m, d) if H[i][m - 1] != 0), None)
-            if pivot is None:
-                continue
-            if pivot != m:
-                H[pivot], H[m] = H[m], H[pivot]
-                for row in H:
-                    row[pivot], row[m] = row[m], row[pivot]
-            t = H[m][m - 1]
-            for i in range(m + 1, d):
-                u = H[i][m - 1] / t
-                if u == 0:
-                    continue
-                H[i] = [a - u * b for a, b in zip(H[i], H[m])]
-                for row in H:
-                    row[m] += u * row[i]
-        # p[m] is the characteristic polynomial of the leading m x m block
-        p = [[Fraction(1)]]
-        for m in range(d):
-            pm = [Fraction(0)] + p[m]
-            for k, c in enumerate(p[m]):
-                pm[k] -= H[m][m] * c
-            t = Fraction(1)
-            for i in range(m - 1, -1, -1):
-                t *= H[i + 1][i]
-                if t == 0:
-                    break
-                f = t * H[i][m]
-                for k, c in enumerate(p[i]):
-                    pm[k] -= f * c
-            p.append(pm)
-        return p[d]
+        A = B = RationalMatrix(self.num)
+        identity = RationalMatrix.identity(d)
+        high = [1]  # a_d, a_(d-1), ..., a_0
+        for k in range(1, d + 1):
+            a, remainder = divmod(-sum(B.num[i][i] for i in range(d)), k)
+            if remainder:
+                raise InvariantViolationError(f"tr(B_{k}) is not divisible by {k}")
+            high.append(a)
+            if k < d:
+                B = A * _combination(((1, B), (a, identity)))
+        return [Fraction(a, self.den ** (d - k)) for k, a in enumerate(reversed(high))]
 
 
 def _combination(terms) -> RationalMatrix:

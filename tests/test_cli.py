@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -691,3 +692,17 @@ def test_closed_stdout_exits_1_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr
+
+
+def test_large_entry_matrix_answers_in_bounded_time():
+    # an 8 x 8 matrix of random 4000-digit integers is not quasi-unipotent;
+    # its integer char poly says so well inside the timeout
+    rng = random.Random(8)
+    payload = {"matrix": [[str(rng.randrange(-10 ** 4000, 10 ** 4000)) for _ in range(8)]
+                          for _ in range(8)]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "monobound.cli", "wd-decompose"],
+        input=json.dumps(payload), capture_output=True, text=True, env=cli_env(),
+        timeout=60)
+    assert proc.returncode == EXIT_VALIDATION
+    assert json.loads(proc.stdout)["error"]["type"] == "PreconditionViolatedError"

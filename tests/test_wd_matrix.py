@@ -69,8 +69,53 @@ def fraction_product(A, B):
         for row in A.rows))
 
 
+def hessenberg_char_poly(M):
+    """Characteristic polynomial, low-to-high, by a Fraction Hessenberg reduction.
+
+    Reduces a copy to upper Hessenberg form H by similarity (row
+    elimination below the subdiagonal, each step undone on the columns),
+    then runs the recurrence on the leading principal minors of x - H.
+    It shares no step with `char_poly`, which is Faddeev-LeVerrier.
+    """
+    d = M.dim
+    H = [list(row) for row in M.rows]
+    for m in range(1, d - 1):
+        pivot = next((i for i in range(m, d) if H[i][m - 1] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            H[pivot], H[m] = H[m], H[pivot]
+            for row in H:
+                row[pivot], row[m] = row[m], row[pivot]
+        t = H[m][m - 1]
+        for i in range(m + 1, d):
+            u = H[i][m - 1] / t
+            if u == 0:
+                continue
+            H[i] = [a - u * b for a, b in zip(H[i], H[m])]
+            for row in H:
+                row[m] += u * row[i]
+    # p[m] is the characteristic polynomial of the leading m x m block
+    p = [[Fraction(1)]]
+    for m in range(d):
+        pm = [Fraction(0)] + p[m]
+        for k, c in enumerate(p[m]):
+            pm[k] -= H[m][m] * c
+        t = Fraction(1)
+        for i in range(m - 1, -1, -1):
+            t *= H[i + 1][i]
+            if t == 0:
+                break
+            f = t * H[i][m]
+            for k, c in enumerate(p[i]):
+                pm[k] -= f * c
+        p.append(pm)
+    return p[d]
+
+
 def faddeev_leverrier(M):
-    """Characteristic polynomial, low-to-high, by d Fraction products."""
+    """Characteristic polynomial, low-to-high, by d Fraction products: the
+    algorithm `char_poly` runs on the integers, here on the Fraction grid."""
     d = M.dim
     coeffs_high = [Fraction(1)]  # x^d downwards
     ident = RationalMatrix.identity(d)
@@ -110,16 +155,62 @@ def _pivot_edge_cases():
     yield RM([[Fraction(1, 2), 0, 0], [0, 0, 1], [0, Fraction(-1, 3), 0]])
 
 
+def _singular(rng, d):
+    """A d x d (d >= 2) integer matrix whose last row is the sum of the others."""
+    rows = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d - 1)]
+    return RM(rows + [[sum(column) for column in zip(*rows)]])
+
+
 def _char_poly_cases():
     rng = random.Random(23)
     yield from _pivot_edge_cases()
     for _ in range(120):
         yield _random_rational(rng, rng.randint(1, 10))
+    # quasi-unipotent with den > 1: conjugated by diag(2, 1, ..., 1) times
+    # a unimodular matrix, so the char poly is integral but the entries not
+    for d in 2 * list(range(2, 9)):
+        B, _ = random_quasi_unipotent(rng, d)
+        P = RM([[2 if i == j == 0 else int(i == j) for j in range(d)]
+                for i in range(d)]) * random_unimodular(rng, d)
+        yield P * B * P.inverse()
+    for d in (2, 3, 5, 8, 13, 22):
+        yield random_non_quasi_unipotent(rng, d)
+        yield _singular(rng, d)
+    # 4000-digit entries, small enough for the Fraction oracles
+    for d in range(1, 5):
+        yield RM([[rng.randrange(-10 ** 4000, 10 ** 4000) for _ in range(d)]
+                  for _ in range(d)])
 
 
 def test_char_poly_matches_faddeev_leverrier():
     for M in _char_poly_cases():
         assert M.char_poly() == faddeev_leverrier(M), M.rows
+
+
+def test_char_poly_matches_hessenberg():
+    for M in _char_poly_cases():
+        assert M.char_poly() == hessenberg_char_poly(M), M.rows
+
+
+def test_char_poly_cases_cover_den_and_dimension():
+    cases = list(_char_poly_cases())
+    assert sum(M.den > 1 and is_quasi_unipotent(M) for M in cases) >= 5
+    assert max(M.dim for M in cases) == 22
+    assert any(M.char_poly()[0] == 0 for M in cases if M.dim == 22)
+    assert any(M.num[0][0].bit_length() > 13000 for M in cases if M.dim == 4)
+
+
+def test_char_poly_inexact_division_raises(monkeypatch):
+    # the traces of Faddeev-LeVerrier are divisible by k for any integer
+    # matrix; a wrong product must raise, also under python -O
+    mul = RationalMatrix.__mul__
+
+    def off_by_one(A, B):
+        C = mul(A, B)
+        return RationalMatrix(((C.num[0][0] + 1,) + C.num[0][1:],) + C.num[1:], C.den)
+    monkeypatch.setattr(RationalMatrix, "__mul__", off_by_one)
+    with pytest.raises(InvariantViolationError, match="not divisible"):
+        RationalMatrix.identity(2).char_poly()
 
 
 def test_char_poly_matches_sympy():
@@ -446,15 +537,16 @@ def test_integer_arithmetic_matches_fraction_reference():
         assert _in_lowest_terms(E) and _in_lowest_terms(nilpotent_log(E))
 
 
-def test_wd_pair_reads_the_fraction_grid_once(monkeypatch):
-    # only char_poly reads `rows`; every other step stays on the integers
+def test_wd_pair_never_reads_the_fraction_grid(monkeypatch):
+    # no step reads `rows`, the char poly included: all of it stays on the
+    # integers, and only its coefficients are Fractions
     M, _ = random_quasi_unipotent(random.Random(16), 16)
     reads = []
     rows = RationalMatrix.rows
     monkeypatch.setattr(RationalMatrix, "rows",
                         property(lambda M: reads.append(M) or rows.fget(M)))
     wd_pair(M, 1)
-    assert len(reads) <= 1
+    assert reads == []
 
 
 def test_int_and_fraction_inputs_are_unchanged():
