@@ -8,7 +8,8 @@ Each subcommand declares only the options it reads.
 
 `cd` alone may keep its results in the scan cache file named by
 $MONOBOUND_CACHE; a cached answer is identical to a computed one except
-for an added "cached" field.  Every other subcommand always computes.
+for an added "cached" field, and a cache that cannot be read, decoded
+or written is never an error.  Every other subcommand always computes.
 
 Each subcommand imports the library modules it uses when it runs, so
 a process loads only what its subcommand needs: `cld` loads
@@ -239,19 +240,23 @@ def matrix_to_json(M: RationalMatrix):
 
 # ---------------------------------------------------------------------- cache
 
-def _checksum(payload: dict) -> str:
-    import hashlib
+def _checksum(payload) -> str:
+    """CRC-32 of the payload's canonical JSON, as 8 hex digits.  It
+    detects every error burst of at most 32 bits in that text, so every
+    substituted character; binascii, unlike hashlib, loads no OpenSSL."""
+    import binascii
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return f"{binascii.crc32(blob.encode()):08x}"
 
 
 class ScanCache:
     """Single-file JSON cache of prime-scan results.
 
-    Entries are keyed by a content hash of (tool version, d, p,
-    scan_depth) and carry their own checksum; a corrupt file or entry is
-    treated as a cold cache, never as an error.  Writes go through an
-    atomic rename.
+    Entries are keyed by the plain text of (tool version, d, p,
+    scan_depth) and carry their own checksum.  A file or entry that is
+    unreadable, malformed or fails its checksum is a cold cache, and a
+    store that fails leaves the answer uncached; neither is an error.
+    Writes go through an atomic rename.
     """
 
     def __init__(self, path: Optional[str]):
@@ -261,20 +266,19 @@ class ScanCache:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     data = json.load(fh)
-                entries = data.get("entries", {})
-                self._entries = {
-                    k: v for k, v in entries.items()
-                    if isinstance(v, dict)
-                    and v.get("checksum") == _checksum(v.get("payload", {}))
-                }
-            except (OSError, ValueError):
+                entries = data.get("entries") if isinstance(data, dict) else None
+                if isinstance(entries, dict):
+                    self._entries = {
+                        k: v for k, v in entries.items()
+                        if isinstance(v, dict)
+                        and v.get("checksum") == _checksum(v.get("payload", {}))
+                    }
+            except (OSError, ValueError, RecursionError):
                 self._entries = {}
 
     @staticmethod
     def key(d: int, p: Optional[int], scan_depth: int) -> str:
-        import hashlib
-        raw = f"{__version__}:cd:{d}:{p}:{scan_depth}"
-        return hashlib.sha256(raw.encode()).hexdigest()
+        return f"{__version__}:cd:{d}:{p}:{scan_depth}"
 
     def get(self, key: str) -> Optional[dict]:
         entry = self._entries.get(key)
@@ -283,33 +287,36 @@ class ScanCache:
     def put(self, key: str, payload: dict) -> None:
         self._entries[key] = {"checksum": _checksum(payload), "payload": payload}
         import tempfile
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(self.path)), suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump({"version": __version__, "entries": self._entries}, fh)
             os.replace(tmp, self.path)
-        except OSError:
-            if os.path.exists(tmp):
+        except OSError:  # a missing or unwritable directory, a full disk, ...
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
 
 
 def cached_c_d(cache: ScanCache, d: int, p: Optional[int],
                scan_depth: int) -> Tuple[FactoredInt, ScanCertificate, bool]:
     """Certified gcd with cache lookaside; returns (value, cert, was_hit).
-    Without a cache file it computes and neither hashes a key nor stores."""
+    Without a cache file it computes and stores nothing.  A stored
+    payload that does not decode is a miss, and is overwritten."""
     from .compat_bounds import c_d
-    if not cache.path:
-        value, cert = c_d(d, p, scan_depth)
-        return value, cert, False
     key = ScanCache.key(d, p, scan_depth)
     payload = cache.get(key)
     if payload is not None:
-        return (factored_from_json(payload["value"]),
-                cert_from_json(payload["certificate"]), True)
+        try:
+            return (factored_from_json(payload["value"]),
+                    cert_from_json(payload["certificate"]), True)
+        except (KeyError, TypeError, AttributeError, ValueError):
+            pass  # a payload of the wrong shape, or one a record refuses
     value, cert = c_d(d, p, scan_depth)
-    cache.put(key, {"value": factored_to_json(value, 0),
-                    "certificate": cert_to_json(cert)})
+    if cache.path:
+        cache.put(key, {"value": factored_to_json(value, 0),
+                        "certificate": cert_to_json(cert)})
     return value, cert, False
 
 

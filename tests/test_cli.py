@@ -420,11 +420,16 @@ def test_cache_transparency(capsys, tmp_path, monkeypatch):
     assert warm == cold
 
 
-def test_cache_corruption_is_cold_not_fatal(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("text", [
+    "garbage!!", "[]", "null", '"x"', '{"entries": []}', '{"entries": "x"}',
+    "[" * 100000 + "]" * 100000,
+], ids=["garbage", "list", "null", "string", "entries-list", "entries-string",
+        "nested"])
+def test_cache_corruption_is_cold_not_fatal(capsys, tmp_path, monkeypatch, text):
     cache = tmp_path / "scan.cache"
     monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
     run_cli(capsys, "cd", "--d", "2", "--p", "7")
-    cache.write_text("garbage!!")
+    cache.write_text(text)
     code, out = run_cli(capsys, "cd", "--d", "2", "--p", "7")
     assert code == EXIT_OK
     assert "cached" not in out
@@ -456,6 +461,93 @@ def test_cache_entries_with_an_expanded_value_still_load(capsys, tmp_path,
 def test_cache_key_includes_depth(tmp_path):
     assert ScanCache.key(2, 7, 100) != ScanCache.key(2, 7, 200)
     assert ScanCache.key(2, 7, 100) != ScanCache.key(3, 7, 100)
+
+
+def cache_file(path, key, payload, checksum=None):
+    checksum = cli._checksum(payload) if checksum is None else checksum
+    path.write_text(json.dumps({"version": monobound.__version__, "entries": {
+        key: {"checksum": checksum, "payload": payload}}}))
+
+
+@pytest.mark.parametrize("payload", [
+    {"value": {"factors": {"2": 4, "3": 1}}},
+    "x",
+    {"value": {"factors": {"4": 2, "3": 1}}, "certificate": None},
+], ids=["no-certificate", "string", "factor-4"])
+def test_cache_entry_that_does_not_decode_is_a_miss(capsys, tmp_path, monkeypatch,
+                                                    payload):
+    code, cold = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    if isinstance(payload, dict) and "certificate" in payload:
+        payload = dict(payload, certificate=cold["certificate"])  # only the 4 is wrong
+    cache = tmp_path / "scan.cache"
+    key = ScanCache.key(2, 7, DEFAULT_SCAN_DEPTH)
+    cache_file(cache, key, payload)
+    monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
+    code, out = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    assert code == EXIT_OK and out == cold
+    # the entry is overwritten, and the next call reads it
+    (stored,) = json.loads(cache.read_text())["entries"].values()
+    assert stored["payload"]["value"] == {"factors": {"2": 4, "3": 1}}
+    code, warm = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    assert code == EXIT_OK and warm.pop("cached") is True and warm == cold
+
+
+@pytest.mark.parametrize("where", ["missing", "directory", "under-a-file"])
+def test_cache_store_that_fails_keeps_the_answer(capsys, tmp_path, monkeypatch,
+                                                 where):
+    code, cold = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    if where == "missing":
+        cache = tmp_path / "missing" / "scan.cache"
+    elif where == "directory":
+        cache = tmp_path / "scan.cache"
+        cache.mkdir()
+    else:
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "scan.cache"
+    monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
+    for _ in range(2):
+        code, out = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+        assert code == EXIT_OK and out == cold
+    assert list(tmp_path.rglob("*.tmp")) == []  # no temporary file is left
+
+
+def test_cache_from_sha256_keys_reads_cold_and_is_rewritten(capsys, tmp_path,
+                                                            monkeypatch):
+    # entries keyed and checked by sha256 hex digests, as written before
+    # plain-text keys and CRC-32 checksums
+    import hashlib
+    code, cold = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    payload = {"value": {"factors": {"2": 4, "3": 1}},
+               "certificate": cold["certificate"]}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    old_key = hashlib.sha256(
+        f"{monobound.__version__}:cd:2:7:{DEFAULT_SCAN_DEPTH}".encode()).hexdigest()
+    cache = tmp_path / "scan.cache"
+    cache_file(cache, old_key, payload, hashlib.sha256(blob.encode()).hexdigest())
+    monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
+    code, out = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    assert code == EXIT_OK and out == cold
+    assert list(json.loads(cache.read_text())["entries"]) == [
+        ScanCache.key(2, 7, DEFAULT_SCAN_DEPTH)]
+    code, warm = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    assert code == EXIT_OK and warm.pop("cached") is True and warm == cold
+
+
+def test_every_digit_substitution_in_a_stored_payload_reads_cold(capsys, tmp_path,
+                                                                monkeypatch):
+    cache = tmp_path / "scan.cache"
+    monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
+    run_cli(capsys, "cd", "--d", "12", "--p", "5")
+    text = cache.read_text()
+    key = ScanCache.key(12, 5, DEFAULT_SCAN_DEPTH)
+    assert ScanCache(str(cache)).get(key) is not None
+    start = text.index('"payload"')  # the last field of the one entry
+    positions = [i for i in range(start, len(text)) if text[i].isdigit()]
+    assert len(positions) > 30
+    for i in positions:
+        for digit in "0123456789".replace(text[i], ""):
+            cache.write_text(text[:i] + digit + text[i + 1:])
+            assert ScanCache(str(cache)).get(key) is None, (i, digit)
 
 
 def test_no_value_expansion(capsys):

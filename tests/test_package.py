@@ -126,16 +126,26 @@ def test_submodules_still_import_from_the_package():
     assert wd_matrix.RationalMatrix is monobound.RationalMatrix
 
 
-def test_uncached_cd_loads_no_hashlib():
-    # without a cache file, cd hashes no cache key and no checksum
+@pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("argv, stdin", SUBCOMMANDS,
+                         ids=[argv[0] for argv, _ in SUBCOMMANDS])
+def test_no_subcommand_loads_hashlib(argv, stdin, cache, tmp_path):
+    # hashlib loads OpenSSL; the scan cache keys entries by plain text and
+    # checks them by CRC-32.  With a cache file each command runs twice, so
+    # that cd stores on a miss and then reads a hit.
+    env = (f"os.environ['MONOBOUND_CACHE'] = {str(tmp_path / 'scan.cache')!r}"
+           if cache else "os.environ.pop('MONOBOUND_CACHE', None)")
     body = ("import os\n"
-            "os.environ.pop('MONOBOUND_CACHE', None)\n"
+            f"{env}\n"
             "preloaded = 'hashlib' in sys.modules\n"
             "from monobound.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(['cd', '--d', '2', '--p', '7']) == 0\n"
-            "assert preloaded or 'hashlib' not in sys.modules, 'hashlib was loaded'")
-    assert "monobound.compat_bounds" in loaded_modules(body)
+            f"for _ in range({1 + cache}):\n"
+            f"    sys.stdin = io.StringIO({stdin!r})\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"        assert main({argv!r}) == 0\n"
+            "    assert preloaded or 'hashlib' not in sys.modules, 'hashlib was loaded'\n"
+            f"assert ('\"cached\": true' in out.getvalue()) is {cache and argv[0] == 'cd'}")
+    assert "monobound.numtheory" in loaded_modules(body)
 
 
 # float() and the math functions that answer in floating point
