@@ -7,9 +7,11 @@ serialises what it returns; the CLI computes nothing of its own.
 Each subcommand declares only the options it reads.
 
 `cd` alone may keep its results in the scan cache file named by
-$MONOBOUND_CACHE; a cached answer is identical to a computed one except
-for an added "cached" field, and a cache that cannot be read, decoded
-or written is never an error.  Every other subcommand always computes.
+$MONOBOUND_CACHE.  An entry is served only to the request its stored
+certificate names, as the JSON it stored, so a cached answer is
+identical to a computed one except for an added "cached" field; a
+cache that cannot be read, decoded or written is never an error.
+Every other subcommand always computes.
 
 Each subcommand imports the library modules it uses when it runs, so
 a process loads only what its subcommand needs: `cld` loads
@@ -134,19 +136,6 @@ def cert_to_json(cert: ScanCertificate) -> dict:
         "witnesses": {str(q): ell for q, ell in cert.witnesses},
         "stable": cert.stable,
     }
-
-
-def cert_from_json(obj: dict) -> ScanCertificate:
-    from .compat_bounds import ScanCertificate
-    return ScanCertificate(
-        d=obj["d"],
-        excluded_p=obj["excluded_p"],
-        primes_scanned=obj["primes_scanned"],
-        candidate_primes_q=tuple(obj["candidate_primes"]),
-        witnesses=tuple(sorted((int(q), ell)
-                               for q, ell in obj["witnesses"].items())),
-        stable=obj["stable"],
-    )
 
 
 def invariants_to_json(inv: VarietyInvariants) -> dict:
@@ -300,23 +289,25 @@ class ScanCache:
 
 
 def cached_c_d(cache: ScanCache, d: int, p: Optional[int],
-               scan_depth: int) -> Tuple[FactoredInt, ScanCertificate, bool]:
-    """Certified gcd with cache lookaside; returns (value, cert, was_hit).
-    Without a cache file it computes and stores nothing.  A stored
-    payload that does not decode is a miss, and is overwritten."""
+               scan_depth: int) -> Tuple[FactoredInt, dict, bool]:
+    """Certified gcd with cache lookaside; returns (value, certificate
+    JSON, was_hit).  An entry is served only when its certificate names
+    this (d, p, scan_depth); one that is absent, names another request
+    or does not decode is a miss, and is overwritten.  Without a cache
+    file it computes and stores nothing."""
     from .compat_bounds import c_d
     key = ScanCache.key(d, p, scan_depth)
     payload = cache.get(key)
-    if payload is not None:
-        try:
-            return (factored_from_json(payload["value"]),
-                    cert_from_json(payload["certificate"]), True)
-        except (KeyError, TypeError, AttributeError, ValueError):
-            pass  # a payload of the wrong shape, or one a record refuses
+    try:  # an absent entry is None, so a TypeError like a misshapen one
+        cert = payload["certificate"]
+        if (cert["d"], cert["excluded_p"], cert["primes_scanned"]) == (d, p, scan_depth):
+            return factored_from_json(payload["value"]), cert, True
+    except (KeyError, TypeError, AttributeError, ValueError):
+        pass  # a payload of the wrong shape, or a value FactoredInt refuses
     value, cert = c_d(d, p, scan_depth)
+    cert = cert_to_json(cert)
     if cache.path:
-        cache.put(key, {"value": factored_to_json(value, 0),
-                        "certificate": cert_to_json(cert)})
+        cache.put(key, {"value": factored_to_json(value, 0), "certificate": cert})
     return value, cert, False
 
 
@@ -369,8 +360,7 @@ def cmd_cd(args) -> dict:
     cache = ScanCache(os.environ.get(CACHE_ENV_VAR))
     value, cert, hit = cached_c_d(cache, args.d, args.p, scan_depth)
     out = {"d": args.d, "p": args.p, "scan_depth": scan_depth,
-           "value": _factored(args, value),
-           "certificate": cert_to_json(cert)}
+           "value": _factored(args, value), "certificate": cert}
     if hit:
         out["cached"] = True
     return out

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genmatrices import random_quasi_unipotent
 import monobound
 
 from monobound import chern_invariants, cli
@@ -27,7 +34,7 @@ from monobound.cli import (
     invariants_to_json,
     main,
 )
-from monobound.compat_bounds import DEFAULT_SCAN_DEPTH, refined_bound
+from monobound.compat_bounds import DEFAULT_SCAN_DEPTH, c_d, refined_bound
 from monobound.numtheory import FactoredInt, factorize
 from monobound.variety_bounds import bound
 
@@ -36,6 +43,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip().startswith("{") else out
+
+
+def call_main(argv, stdin="", cache=None):
+    """main(argv) with this stdin and $MONOBOUND_CACHE (unset for None):
+    the exit code and stdout.  It takes no fixture, so a hypothesis test
+    can call it once per example."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ), mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out):
+        os.environ.pop("MONOBOUND_CACHE", None)
+        if cache is not None:
+            os.environ["MONOBOUND_CACHE"] = cache
+        code = main(argv)
+    return code, out.getvalue()
 
 
 def write_input(tmp_path, obj, name="input.json"):
@@ -550,6 +571,52 @@ def test_every_digit_substitution_in_a_stored_payload_reads_cold(capsys, tmp_pat
             assert ScanCache(str(cache)).get(key) is None, (i, digit)
 
 
+cd_requests = st.tuples(st.integers(1, 40), st.sampled_from([None, 2, 3, 5, 7]),
+                        st.sampled_from([100, 200]))
+
+
+@given(cd_requests, cd_requests)
+@settings(max_examples=50, deadline=None)
+def test_cache_serves_an_entry_only_to_the_request_it_names(request, stored):
+    # the entry under the request's key holds the payload of another
+    # request, with a matching checksum
+    value, cert = c_d(*stored)
+    d, p, depth = request
+    argv = ["cd", "--d", str(d), "--scan-depth", str(depth)]
+    argv += ["--p", str(p)] if p is not None else []
+    code, computed = call_main(argv)
+    assert code == EXIT_OK
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = Path(tmp) / "scan.cache"
+        cache_file(cache, ScanCache.key(*request), {
+            "value": factored_to_json(value, 0), "certificate": cert_to_json(cert)})
+        code, text = call_main(argv, cache=str(cache))
+        out = json.loads(text)
+        assert code == EXIT_OK
+        assert ("cached" in out) == (request == stored)
+        out.pop("cached", None)
+        assert out == json.loads(computed)
+        # a misplaced entry was overwritten with the request's own
+        (entry,) = json.loads(cache.read_text())["entries"].values()
+        assert entry["payload"]["certificate"] == out["certificate"]
+        code, text = call_main(argv, cache=str(cache))
+        warm = json.loads(text)
+        assert code == EXIT_OK and warm.pop("cached") is True and warm == out
+
+
+def test_cached_table_is_the_computed_table_and_one_line(capsys, tmp_path,
+                                                         monkeypatch):
+    # a hit prints the certificate in the key order it was stored in
+    monkeypatch.setenv("MONOBOUND_CACHE", str(tmp_path / "scan.cache"))
+    argv = ["cd", "--d", "12", "--p", "5", "--format", "table"]
+    assert main(argv) == EXIT_OK
+    cold = capsys.readouterr().out
+    assert main(argv) == EXIT_OK
+    warm = capsys.readouterr().out
+    assert "  witnesses:\n" in cold and "cached" not in cold
+    assert warm == cold + "cached: True\n"
+
+
 def test_no_value_expansion(capsys):
     code, out = run_cli(capsys, "cld", "--ell", "3", "--d", "2",
                         "--value-digit-limit", "0")
@@ -798,3 +865,110 @@ def test_large_entry_matrix_answers_in_bounded_time():
         timeout=60)
     assert proc.returncode == EXIT_VALIDATION
     assert json.loads(proc.stdout)["error"]["type"] == "PreconditionViolatedError"
+
+
+# Every input of variety-bound, invariants, descend and wd-decompose gets an
+# answer or a typed error: a well-formed or mutated payload (any JSON value
+# in any slot, a slot missing, extra keys) on stdin, well-formed options.
+# Ints stay small (n <= 4, degrees <= 6 and at most two of them, matrices
+# up to 4 x 4 with entries <= 10^3), so that no answer needs a long scan.
+
+def json_values(ints):
+    scalars = (st.none() | st.booleans() | ints | st.text(max_size=4)
+               | st.floats(allow_nan=False, allow_infinity=False))
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=2)
+                        | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+                        max_leaves=4)
+
+
+def mostly(usual, other):
+    """usual, and now and then other; shrinking leads back to usual."""
+    return st.integers(0, 3).flatmap(lambda i: usual if i < 3 else other)
+
+
+def mutated_object(fields, ints):
+    """An object with the given field strategies, any slot holding any JSON
+    value instead, now and then one slot missing, and extra keys."""
+    keys = sorted(fields)
+    slots = st.fixed_dictionaries({k: mostly(fields[k], json_values(ints)) for k in keys})
+    extra = st.dictionaries(st.text(max_size=3), json_values(ints), max_size=2)
+    missing = mostly(st.just(()), st.sampled_from(keys).map(lambda k: (k,)))
+    return st.builds(lambda obj, more, gone: {k: v for k, v in {**more, **obj}.items()
+                                              if k not in gone},
+                     slots, extra, missing)
+
+
+small = st.integers(-4, 4)
+families = mutated_object({
+    "kind": st.sampled_from(["projective_space", "hypersurface",
+                             "complete_intersection"]),
+    "n": st.integers(1, 4),
+    "degrees": st.lists(st.integers(1, 6), max_size=2),
+}, small)
+entries = st.integers(-10 ** 3, 10 ** 3)
+invariants = st.integers(1, 4).flatmap(lambda n: mutated_object({
+    "n": st.just(n),
+    "b": st.lists(st.integers(0, 10 ** 3), min_size=n, max_size=n),
+    "c": st.lists(entries, min_size=n - 1, max_size=n - 1),
+}, entries))
+
+
+def squares(values):
+    return st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.lists(values, min_size=k, max_size=k), min_size=k, max_size=k))
+
+
+def quasi_unipotent(seed, k):
+    M, _ = random_quasi_unipotent(random.Random(seed), k)
+    return [[int(x) for x in row] for row in M.rows]  # conjugated by a unimodular P
+
+
+rationals = entries | st.builds(lambda a, b: f"{a}/{b}", entries, st.integers(1, 10 ** 3))
+matrices = mostly(
+    squares(rationals) | st.builds(quasi_unipotent, st.integers(0, 10 ** 6),
+                                   st.integers(1, 4)).filter(
+        lambda rows: all(abs(x) <= 10 ** 3 for row in rows for x in row)),
+    squares(rationals | json_values(entries)) | json_values(entries))
+
+
+def payload(key, values):
+    return mostly(mutated_object({key: values}, small), json_values(small))
+
+
+def command(name, options, stdin):
+    """argv: the subcommand and one pick from each option list (None
+    picks nothing); and a stdin payload.  Options are written
+    --name=value, since argparse takes a value such as -1/3 that follows
+    a space for an option."""
+    argv = st.tuples(*map(st.sampled_from, options)).map(
+        lambda picked: [name] + [o for o in picked if o])
+    return st.tuples(argv, stdin)
+
+
+sections = payload("family", families) | payload("invariants", invariants)
+cli_inputs = st.one_of(
+    command("variety-bound", [[f"--p={p}" for p in (2, 3, 5, 7, 0, 4, -3)],
+                              [None] + [f"--h={h}" for h in (-1, 1, 2, 5)],
+                              [None, "--scan-depth=2", "--scan-depth=5"]], sections),
+    command("invariants", [], payload("family", families)),
+    command("descend", [[f"--steps={s}" for s in (0, 1, 2, 4)]], sections),
+    command("wd-decompose", [[f"--tau={t}" for t in ("1", "2", "-1/3", "0", "x", "1e5")]],
+            payload("matrix", matrices)),
+)
+
+
+@given(cli_inputs)
+@settings(max_examples=200, deadline=5000)
+def test_every_payload_gets_an_answer_or_a_typed_error(cli_input):
+    argv, stdin = cli_input
+    code, text = call_main(argv, json.dumps(stdin))
+    out = json.loads(text)  # exactly one JSON value ...
+    assert isinstance(out, dict)  # ... and an object
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_UNSTABLE, EXIT_MALFORMED,
+                    EXIT_UNDECIDED)
+    if code == EXIT_OK:
+        assert "error" not in out
+    else:
+        assert list(out) == ["error"]
+        assert isinstance(out["error"]["type"], str)
+        assert isinstance(out["error"]["message"], str)
