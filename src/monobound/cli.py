@@ -6,12 +6,18 @@ serialises what it returns; the CLI computes nothing of its own.
 `compat_bounds.refined_bound`, `cd` is `compat_bounds.c_d`.
 Each subcommand declares only the options it reads.
 
+Input is parsed under the interpreter's int-to-str digit limit (4300
+digits by default; Python >= 3.10.7 has it), so a number too long to
+read is malformed input.  Computed numbers (GL orders, gcd values,
+tame_lcm, wd-decompose's entries) are written in full, with the limit
+lifted by `_lifted_int_limit` only after every input has been read.
+
 `cd` alone may keep its results in the scan cache file named by
 $MONOBOUND_CACHE.  An entry is served only to the request its stored
-certificate names, as the JSON it stored, so a cached answer is
-identical to a computed one except for an added "cached" field; a
-cache that cannot be read, decoded or written is never an error.
-Every other subcommand always computes.
+certificate names, as that JSON and the value its witnesses give, so
+a cached answer is identical to a computed one except for an added
+"cached" field; a cache that cannot be read, decoded or written is
+never an error.  Every other subcommand always computes.
 
 Each subcommand imports the library modules it uses when it runs, so
 a process loads only what its subcommand needs: `cld` loads
@@ -93,38 +99,34 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------- serialization
 
-def _decimal(v: int) -> str:
-    """str(v) for an int v >= 0 of any length.
+class _lifted_int_limit:
+    """Lifts the interpreter's int-to-str digit limit for a with block and
+    restores it on exit, also on an exception.  Only computed numbers are
+    written inside; no input is parsed there."""
 
-    str() refuses an int longer than the interpreter's digit limit (4300
-    digits by default, never set below 640), so a long value is split by
-    divmod with a power of ten and each part converted on its own.
-    """
-    if v.bit_length() <= 2000:  # at most 603 digits
-        return str(v)
-    k = (v.bit_length() - 1) * 3 // 20  # about half the digits; 10^k < v
-    high, low = divmod(v, 10 ** k)
-    return _decimal(high) + _decimal(low).rjust(k, "0")
+    def __enter__(self):
+        self.old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc_info):
+        sys.set_int_max_str_digits(self.old)
 
 
 def factored_to_json(f: FactoredInt, digit_limit: int) -> dict:
     """The factors, and the expanded "value" when it has at most
     digit_limit digits (never when digit_limit <= 0).  The value is at
     least 2^low and log2(10) < 10/3, so 3 * low >= 10 * digit_limit proves
-    it too long before it is built; otherwise its text's length decides."""
+    it too long before it is built; otherwise its text decides.  Input is
+    parsed under the int-to-str digit limit; this text, like every
+    computed number, is written with the limit lifted."""
     out = {"factors": {str(p): e for p, e in f.factors}}
     low = sum(e * (p.bit_length() - 1) for p, e in f.factors)  # 2^low <= value
     if 3 * low < 10 * digit_limit:
-        text = _decimal(f.value())
+        with _lifted_int_limit():
+            text = str(f.value())
         if len(text) <= digit_limit:
             out["value"] = text
     return out
-
-
-def factored_from_json(obj: dict) -> FactoredInt:
-    from .numtheory import FactoredInt
-    return FactoredInt.from_dict({int(p): int(e)
-                                  for p, e in obj["factors"].items()})
 
 
 def cert_to_json(cert: ScanCertificate) -> dict:
@@ -217,14 +219,8 @@ def matrix_from_json(obj) -> RationalMatrix:
         tuple(tuple(_rational(x, "matrix payload") for x in row) for row in obj))
 
 
-def _rational_text(x: Fraction) -> str:
-    """str(x) for a Fraction of any length, from _decimal."""
-    text = "-" * (x.numerator < 0) + _decimal(abs(x.numerator))
-    return text if x.denominator == 1 else f"{text}/{_decimal(x.denominator)}"
-
-
 def matrix_to_json(M: RationalMatrix):
-    return [[_rational_text(x) for x in row] for row in M.rows]
+    return [[str(x) for x in row] for row in M.rows]
 
 
 # ---------------------------------------------------------------------- cache
@@ -292,22 +288,27 @@ def cached_c_d(cache: ScanCache, d: int, p: Optional[int],
                scan_depth: int) -> Tuple[FactoredInt, dict, bool]:
     """Certified gcd with cache lookaside; returns (value, certificate
     JSON, was_hit).  An entry is served only when its certificate names
-    this (d, p, scan_depth); one that is absent, names another request
-    or does not decode is a miss, and is overwritten.  Without a cache
-    file it computes and stores nothing."""
-    from .compat_bounds import c_d
+    this (d, p, scan_depth) and has a JSON integer witness for each prime
+    q <= d + 1, in order; its value is read off those witnesses, never stored.  One
+    that is absent, names another request or does not decode is a miss,
+    and is overwritten.  Without a cache file it computes and stores nothing."""
+    from .compat_bounds import c_d, witnessed_c_d
+    from .numtheory import primes_upto
     key = ScanCache.key(d, p, scan_depth)
     payload = cache.get(key)
     try:  # an absent entry is None, so a TypeError like a misshapen one
         cert = payload["certificate"]
-        if (cert["d"], cert["excluded_p"], cert["primes_scanned"]) == (d, p, scan_depth):
-            return factored_from_json(payload["value"]), cert, True
+        ws = cert["witnesses"]
+        if ((cert["d"], cert["excluded_p"], cert["primes_scanned"]) == (d, p, scan_depth)
+                and list(ws) == [str(q) for q in primes_upto(d + 1)]
+                and all(type(ell) is int for ell in ws.values())):
+            return witnessed_c_d(d, ((int(q), ell) for q, ell in ws.items())), cert, True
     except (KeyError, TypeError, AttributeError, ValueError):
-        pass  # a payload of the wrong shape, or a value FactoredInt refuses
+        pass  # a payload of the wrong shape, or a q = 2 witness below 2
     value, cert = c_d(d, p, scan_depth)
     cert = cert_to_json(cert)
     if cache.path:
-        cache.put(key, {"value": factored_to_json(value, 0), "certificate": cert})
+        cache.put(key, {"certificate": cert})
     return value, cert, False
 
 
@@ -409,8 +410,9 @@ def cmd_wd(args) -> dict:
         raise MalformedInputError('input needs a "matrix" key')
     tau = _rational(args.tau, "tau")
     pair = wd_pair(matrix_from_json(obj["matrix"]), tau)
-    return {"r": matrix_to_json(pair.r), "n": matrix_to_json(pair.n),
-            "tau": _rational_text(pair.tau)}
+    with _lifted_int_limit():
+        return {"r": matrix_to_json(pair.r), "n": matrix_to_json(pair.n),
+                "tau": str(pair.tau)}
 
 
 def cmd_refined(args) -> dict:
@@ -443,19 +445,11 @@ def _render_table(obj: dict, indent: str = "") -> str:
 
 def _render(result: dict, fmt: str) -> str:
     """result as text.  A plain int such as refined's tame_lcm may pass
-    the interpreter's int-to-str digit limit, so the limit is lifted
-    while the result is rendered; every input has been parsed under it
-    by then.  Python before 3.10.7 has no such limit.  Factored values
-    are _decimal strings already."""
-    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-    old = get_limit()
-    set_limit(0)
-    try:
+    the interpreter's int-to-str digit limit, so the result is rendered
+    with the limit lifted; every input has been parsed under it by then."""
+    with _lifted_int_limit():
         return (_render_table(result) if fmt == "table"
                 else json.dumps(result, indent=2, sort_keys=True))
-    finally:
-        set_limit(old)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,6 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # "--tau -1/3" as "--tau=-1/3": some argparse versions read -1/3 as an option
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--tau" and re.match(r"-[0-9]", argv[i + 1]):
+            argv[i:i + 2] = [f"--tau={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         result, code = args.func(args), EXIT_OK

@@ -159,21 +159,17 @@ def test_factored_value_expands_up_to_exactly_its_digits():
     cases += [{2: k} for k in (1, 3, 4, 10, 332, 333, 20000)]
     cases += [factorize(10 ** k + s) for k in range(1, 20) for s in (-1, 1)]
     cases += [{2: 3600 + 1770, 3: 5, 7: 2}, {3: 5000, 11: 77, 2 ** 61 - 1: 3}]
-    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-    old = get_limit()
+    old = sys.get_int_max_str_digits()
     for factors in cases:
         f = FactoredInt.from_dict(factors)
         v = f.value()
         digits = decimal_digits(v)
         # written under the interpreter's int-to-str limit, read past it
         at, below = factored_to_json(f, digits), factored_to_json(f, digits - 1)
+        assert sys.get_int_max_str_digits() == old
         assert "value" not in below, factors
-        set_limit(0)
-        try:
+        with cli._lifted_int_limit():
             assert int(at["value"]) == v, factors
-        finally:
-            set_limit(old)
 
 
 def test_invariant_violation_exit_code(capsys, tmp_path, monkeypatch):
@@ -345,6 +341,15 @@ def test_wd_decompose_round_trips_rational_entries(capsys, tmp_path, matrix, tau
     assert out == {"r": matrix, "n": [["0", "0"], ["0", "0"]], "tau": tau}
 
 
+@pytest.mark.parametrize("tau", [["--tau", "-1/3"], ["--tau=-1/3"]])
+def test_a_negative_rational_tau_is_a_value_after_a_space_too(capsys, tmp_path, tau):
+    path = write_input(tmp_path, {"matrix": [["-1", "1"], ["0", "-1"]]})
+    code, out = run_cli(capsys, "wd-decompose", "--input", path, *tau)
+    assert code == EXIT_OK
+    assert out == {"r": [["-1", "0"], ["0", "-1"]], "n": [["0", "3"], ["0", "0"]],
+                   "tau": "-1/3"}
+
+
 def test_wd_decompose_writes_entries_past_the_int_digit_limit(capsys, tmp_path):
     # N[0][1] = 10^4000 / 10^-4000 has 8001 digits, past the 4300 that
     # str() converts by default
@@ -401,9 +406,7 @@ def test_rational_strings_are_digits_over_digits(capsys, tmp_path, entry, tau):
 
 
 def test_rational_parts_obey_the_int_digit_limit(capsys, tmp_path):
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        pytest.skip("no int-to-str digit limit on this interpreter")
+    limit = sys.get_int_max_str_digits()
     path = write_input(tmp_path, {"matrix": [["1/" + "7" * (limit + 1)]]})
     code, out = run_cli(capsys, "wd-decompose", "--input", path)
     assert code == EXIT_MALFORMED
@@ -433,9 +436,9 @@ def test_cache_transparency(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
     code, cold = run_cli(capsys, "cd", "--d", "2", "--p", "7")
     assert code == EXIT_OK and "cached" not in cold
-    # an entry holds the factors; the value is expanded when it is read
+    # an entry holds the certificate; a hit reads the value off its witnesses
     (entry,) = json.loads(cache.read_text())["entries"].values()
-    assert entry["payload"]["value"] == {"factors": {"2": 4, "3": 1}}
+    assert entry["payload"] == {"certificate": cold["certificate"]}
     code, warm = run_cli(capsys, "cd", "--d", "2", "--p", "7")
     assert code == EXIT_OK and warm.pop("cached") is True
     assert warm == cold
@@ -466,17 +469,17 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
 
 def test_cache_entries_with_an_expanded_value_still_load(capsys, tmp_path,
                                                          monkeypatch):
-    # entries written before the cache dropped "value" keep it; no reader uses it
+    # entries written by earlier versions hold a "value" too; a hit ignores
+    # it, also one that is wrong or that no FactoredInt holds
     code, cold = run_cli(capsys, "cd", "--d", "2", "--p", "7")
-    payload = {"value": {"factors": {"2": 4, "3": 1}, "value": "48"},
-               "certificate": cold["certificate"]}
     cache = tmp_path / "scan.cache"
-    cache.write_text(json.dumps({"version": monobound.__version__, "entries": {
-        ScanCache.key(2, 7, DEFAULT_SCAN_DEPTH):
-            {"checksum": cli._checksum(payload), "payload": payload}}}))
     monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
-    code, warm = run_cli(capsys, "cd", "--d", "2", "--p", "7")
-    assert code == EXIT_OK and warm.pop("cached") is True and warm == cold
+    for value in ({"factors": {"2": 4, "3": 1}, "value": "48"},
+                  {"factors": {"2": 9}}, {"factors": {"4": 2, "3": 1}}, "x"):
+        cache_file(cache, ScanCache.key(2, 7, DEFAULT_SCAN_DEPTH),
+                   {"value": value, "certificate": cold["certificate"]})
+        code, warm = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+        assert code == EXIT_OK and warm.pop("cached") is True and warm == cold
 
 
 def test_cache_key_includes_depth(tmp_path):
@@ -493,13 +496,29 @@ def cache_file(path, key, payload, checksum=None):
 @pytest.mark.parametrize("payload", [
     {"value": {"factors": {"2": 4, "3": 1}}},
     "x",
-    {"value": {"factors": {"4": 2, "3": 1}}, "certificate": None},
-], ids=["no-certificate", "string", "factor-4"])
+    # the witnesses of cd --d 2 --p 7 are {"2": 3, "3": 2}
+    {"witnesses": {"2": 3, "3": "2"}},
+    {"witnesses": {"2": 3, "3": 2.0}},
+    {"witnesses": {"2": True, "3": 2}},
+    {"witnesses": {"2": 3}},
+    {"witnesses": {"2": 3, "3": 2, "4": 3}},
+    {"witnesses": {"-1": 2, "2": 3, "3": 2}},
+    {"witnesses": {"1": 2, "2": 3, "3": 2}},
+    {"witnesses": {"2": 3, "three": 2}},
+    {"witnesses": {"2": 3, "03": 2}},
+    {"witnesses": {"3": 2, "2": 3}},
+    {"witnesses": {"2": 1, "3": 2}},
+    {"witnesses": {"2": -7, "3": 2}},
+], ids=["no-certificate", "string", "witness-string", "witness-float",
+        "witness-bool", "witness-missing", "witness-4", "witness-minus-1",
+        "witness-1", "witness-key-text", "witness-key-03", "witness-order",
+        "two-witness-1", "two-witness-negative"])
 def test_cache_entry_that_does_not_decode_is_a_miss(capsys, tmp_path, monkeypatch,
                                                     payload):
     code, cold = run_cli(capsys, "cd", "--d", "2", "--p", "7")
-    if isinstance(payload, dict) and "certificate" in payload:
-        payload = dict(payload, certificate=cold["certificate"])  # only the 4 is wrong
+    if isinstance(payload, dict) and "witnesses" in payload:
+        # only the witnesses are wrong
+        payload = {"certificate": dict(cold["certificate"], **payload)}
     cache = tmp_path / "scan.cache"
     key = ScanCache.key(2, 7, DEFAULT_SCAN_DEPTH)
     cache_file(cache, key, payload)
@@ -508,7 +527,7 @@ def test_cache_entry_that_does_not_decode_is_a_miss(capsys, tmp_path, monkeypatc
     assert code == EXIT_OK and out == cold
     # the entry is overwritten, and the next call reads it
     (stored,) = json.loads(cache.read_text())["entries"].values()
-    assert stored["payload"]["value"] == {"factors": {"2": 4, "3": 1}}
+    assert stored["payload"] == {"certificate": cold["certificate"]}
     code, warm = run_cli(capsys, "cd", "--d", "2", "--p", "7")
     assert code == EXIT_OK and warm.pop("cached") is True and warm == cold
 
@@ -558,9 +577,9 @@ def test_every_digit_substitution_in_a_stored_payload_reads_cold(capsys, tmp_pat
                                                                 monkeypatch):
     cache = tmp_path / "scan.cache"
     monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
-    run_cli(capsys, "cd", "--d", "12", "--p", "5")
+    run_cli(capsys, "cd", "--d", "16", "--p", "5")
     text = cache.read_text()
-    key = ScanCache.key(12, 5, DEFAULT_SCAN_DEPTH)
+    key = ScanCache.key(16, 5, DEFAULT_SCAN_DEPTH)
     assert ScanCache(str(cache)).get(key) is not None
     start = text.index('"payload"')  # the last field of the one entry
     positions = [i for i in range(start, len(text)) if text[i].isdigit()]
@@ -604,6 +623,32 @@ def test_cache_serves_an_entry_only_to_the_request_it_names(request, stored):
         assert code == EXIT_OK and warm.pop("cached") is True and warm == out
 
 
+@given(cd_requests, st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                                    st.integers(-3, 3), min_size=1))
+@settings(max_examples=50, deadline=None)
+def test_a_hit_prints_the_value_its_certificate_gives(request, shifts):
+    # the entry holds the request's own certificate, but a "value" whose
+    # exponents are shifted, with a matching checksum
+    value, cert = c_d(*request)
+    exponents = value.as_dict()
+    for q, shift in shifts.items():
+        exponents[q] = exponents.get(q, 0) + shift
+    d, p, depth = request
+    argv = ["cd", "--d", str(d), "--scan-depth", str(depth)]
+    argv += ["--p", str(p)] if p is not None else []
+    code, computed = call_main(argv)
+    assert code == EXIT_OK
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = Path(tmp) / "scan.cache"
+        cache_file(cache, ScanCache.key(*request), {
+            "value": factored_to_json(FactoredInt.from_dict(exponents), 0),
+            "certificate": cert_to_json(cert)})
+        code, text = call_main(argv, cache=str(cache))
+    out = json.loads(text)
+    assert code == EXIT_OK and out.pop("cached") is True
+    assert out == json.loads(computed)
+
+
 def test_cached_table_is_the_computed_table_and_one_line(capsys, tmp_path,
                                                          monkeypatch):
     # a hit prints the certificate in the key order it was stored in
@@ -626,24 +671,84 @@ def test_no_value_expansion(capsys):
 
 def test_refined_prints_a_tame_lcm_beyond_the_int_digit_limit(capsys):
     # lcm{i : phi(i) <= 10000} has 4350 digits, past the default limit of
-    # 4300 on int-to-str conversion (Python >= 3.10.7)
-    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-    old = get_limit()
+    # 4300 on int-to-str conversion
+    old = sys.get_int_max_str_digits()
     code = main(["refined", "--d", "10000", "--p", "5"])
     json_text = capsys.readouterr().out
     code_table = main(["refined", "--d", "10000", "--p", "5", "--format", "table"])
     table_text = capsys.readouterr().out
     assert code == code_table == EXIT_OK
-    assert get_limit() == old  # restored after rendering
-    set_limit(0)
-    try:
+    assert sys.get_int_max_str_digits() == old  # restored after rendering
+    with cli._lifted_int_limit():
         out = json.loads(json_text)
         assert out["tame_lcm"] == math.lcm(*out["tame_set"])
         assert len(str(out["tame_lcm"])) == 4350
         assert f"tame_lcm: {out['tame_lcm']}\n" in table_text
+
+
+BIG = "1" + "0" * 4000
+
+
+@pytest.mark.parametrize("argv, stdin, expected", [
+    (["refined", "--d", "10000", "--p", "5"], "", EXIT_OK),
+    (["wd-decompose", "--tau", "1/" + BIG, "--format", "table"],
+     json.dumps({"matrix": [[1, BIG], [0, 1]]}), EXIT_OK),
+    (["cd", "--d", "2", "--p", "-3"], "", EXIT_VALIDATION),
+    (["cd", "--d", "5", "--scan-depth", "2"], "", EXIT_UNSTABLE),
+    (["wd-decompose"], json.dumps({"matrix": [["1/" + "7" * 5001]]}), EXIT_MALFORMED),
+    (["cld", "--ell", "3", "--d", "two"], "", None),  # a usage error
+], ids=["answer", "table-answer", "validation", "unstable", "malformed", "usage"])
+def test_main_leaves_the_int_digit_limit_as_it_found_it(argv, stdin, expected):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        if expected is None:
+            with pytest.raises(SystemExit) as exc:
+                call_main(argv, stdin)
+            assert exc.value.code == 2
+        else:
+            assert call_main(argv, stdin)[0] == expected
+        assert sys.get_int_max_str_digits() == 5000
     finally:
-        set_limit(old)
+        sys.set_int_max_str_digits(old)
+
+
+def test_lifted_int_limit_is_restored_when_the_writer_raises():
+    old = sys.get_int_max_str_digits()
+    with pytest.raises(RuntimeError):
+        with cli._lifted_int_limit():
+            assert sys.get_int_max_str_digits() == 0
+            raise RuntimeError("a writer failed")
+    assert sys.get_int_max_str_digits() == old
+
+
+def table_block(text, key):
+    """The indented lines under the top-level line "key:" of table text."""
+    lines = text.splitlines()
+    start = lines.index(f"{key}:") + 1
+    end = next((i for i in range(start, len(lines)) if not lines[i].startswith(" ")),
+               len(lines))
+    return lines[start:end]
+
+
+@given(st.integers(1200, 1400), st.integers(4000, 4600))
+@settings(max_examples=50, deadline=None)
+def test_cd_value_is_written_exactly_up_to_the_digit_limit(d, limit):
+    # c_d(d, 5) has 4011 digits at d = 1200 and 4381 at d = 1300
+    argv = ["cd", "--d", str(d), "--p", "5", "--value-digit-limit", str(limit)]
+    code, text = call_main(argv)
+    code_table, table = call_main(argv + ["--format", "table"])
+    assert code == code_table == EXIT_OK
+    out = json.loads(text)["value"]
+    product = math.prod(int(p) ** e for p, e in out["factors"].items())
+    with cli._lifted_int_limit():
+        assert ("value" in out) == (len(str(product)) <= limit)
+        if "value" in out:
+            assert int(out["value"]) == product
+    assert table_block(table, "value") == (
+        ["  factors:"] + [f"    {p}: {e}" for p, e in
+                          sorted(out["factors"].items(), key=lambda pe: int(pe[0]))]
+        + ([f"  value: {out['value']}"] if "value" in out else []))
 
 
 def test_huge_betti_number_is_refused_at_once(capsys, tmp_path):
@@ -867,11 +972,12 @@ def test_large_entry_matrix_answers_in_bounded_time():
     assert json.loads(proc.stdout)["error"]["type"] == "PreconditionViolatedError"
 
 
-# Every input of variety-bound, invariants, descend and wd-decompose gets an
-# answer or a typed error: a well-formed or mutated payload (any JSON value
-# in any slot, a slot missing, extra keys) on stdin, well-formed options.
-# Ints stay small (n <= 4, degrees <= 6 and at most two of them, matrices
-# up to 4 x 4 with entries <= 10^3), so that no answer needs a long scan.
+# Every input gets an answer or a typed error: for variety-bound,
+# invariants, descend and wd-decompose a well-formed or mutated payload (any
+# JSON value in any slot, a slot missing, extra keys) on stdin; for cld, cd
+# and refined option values in and out of their domains.  Ints stay small
+# (n <= 4, degrees <= 6 and at most two of them, matrices up to 4 x 4 with
+# entries <= 10^3, ell <= 13, d <= 60), so that no answer needs a long scan.
 
 def json_values(ints):
     scalars = (st.none() | st.booleans() | ints | st.text(max_size=4)
@@ -935,37 +1041,56 @@ def payload(key, values):
     return mostly(mutated_object({key: values}, small), json_values(small))
 
 
-def command(name, options, stdin):
+def command(name, options, stdin=st.none()):
     """argv: the subcommand and one pick from each option list (None
-    picks nothing); and a stdin payload.  Options are written
-    --name=value, since argparse takes a value such as -1/3 that follows
-    a space for an option."""
-    argv = st.tuples(*map(st.sampled_from, options)).map(
-        lambda picked: [name] + [o for o in picked if o])
-    return st.tuples(argv, stdin)
+    picks nothing), each option and its value written as one token
+    "--name=value" or as two; and a stdin payload."""
+    def argv(picked, split):
+        return [name] + [part for o in picked if o
+                         for part in (o.split("=", 1) if split else [o])]
+    return st.tuples(st.builds(argv, st.tuples(*map(st.sampled_from, options)),
+                               st.booleans()), stdin)
+
+
+formats = [None, "--format=json", "--format=table"]
+digit_limits = [None] + [f"--value-digit-limit={n}"
+                         for n in (-1, 0, 1, 4299, 4300, 4301, 10 ** 6)]
+ps = [f"--p={p}" for p in (2, 3, 5, 7, 0, 1, 4, -3)]
+scan_depths = [None] + [f"--scan-depth={s}" for s in (-1, 0, 1, 2, 5, 100, 3000000)]
 
 
 sections = payload("family", families) | payload("invariants", invariants)
 cli_inputs = st.one_of(
-    command("variety-bound", [[f"--p={p}" for p in (2, 3, 5, 7, 0, 4, -3)],
-                              [None] + [f"--h={h}" for h in (-1, 1, 2, 5)],
-                              [None, "--scan-depth=2", "--scan-depth=5"]], sections),
-    command("invariants", [], payload("family", families)),
-    command("descend", [[f"--steps={s}" for s in (0, 1, 2, 4)]], sections),
-    command("wd-decompose", [[f"--tau={t}" for t in ("1", "2", "-1/3", "0", "x", "1e5")]],
-            payload("matrix", matrices)),
+    command("variety-bound", [ps, [None] + [f"--h={h}" for h in (-1, 1, 2, 5)],
+                              [None, "--scan-depth=2", "--scan-depth=5"],
+                              digit_limits, formats], sections),
+    command("invariants", [formats], payload("family", families)),
+    command("descend", [[f"--steps={s}" for s in (0, 1, 2, 4)], formats], sections),
+    command("wd-decompose", [[f"--tau={t}" for t in ("1", "2", "-1/3", "0", "x", "1e5")],
+                             formats], payload("matrix", matrices)),
+    command("cld", [[f"--ell={ell}" for ell in range(-2, 14)],
+                    [f"--d={d}" for d in range(-2, 31)], digit_limits, formats]),
+    command("cd", [[f"--d={d}" for d in range(-2, 61)], [None] + ps, scan_depths,
+                   digit_limits, formats]),
+    command("refined", [[f"--d={d}" for d in range(-2, 61)], ps, scan_depths,
+                        digit_limits, formats]),
 )
 
 
 @given(cli_inputs)
-@settings(max_examples=200, deadline=5000)
+@settings(max_examples=300, deadline=5000)
 def test_every_payload_gets_an_answer_or_a_typed_error(cli_input):
     argv, stdin = cli_input
     code, text = call_main(argv, json.dumps(stdin))
-    out = json.loads(text)  # exactly one JSON value ...
-    assert isinstance(out, dict)  # ... and an object
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_UNSTABLE, EXIT_MALFORMED,
                     EXIT_UNDECIDED)
+    if "table" in argv or "--format=table" in argv:
+        # one "key: value" line per scalar, an error as its own block
+        assert text.endswith("\n") and not text.startswith("{")
+        assert text.startswith("error:\n  type: ") == (code != EXIT_OK)
+        return
+    out = json.loads(text)  # exactly one JSON value ...
+    assert isinstance(out, dict)  # ... and an object
     if code == EXIT_OK:
         assert "error" not in out
     else:
