@@ -12,12 +12,11 @@ read is malformed input.  Computed numbers (GL orders, gcd values,
 tame_lcm, wd-decompose's entries) are written in full, with the limit
 lifted by `_lifted_int_limit` only after every input has been read.
 
-`cd` alone may keep its results in the scan cache file named by
-$MONOBOUND_CACHE.  An entry is served only to the request its stored
-certificate names, as that JSON and the value its witnesses give, so
-a cached answer is identical to a computed one except for an added
-"cached" field; a cache that cannot be read, decoded or written is
-never an error.  Every other subcommand always computes.
+`cd` alone may keep its certificates in the scan cache file named by
+$MONOBOUND_CACHE.  It always computes; an entry that holds exactly the
+computed certificate only adds "cached": true to the answer, so stored
+data never decides what is printed.  A cache that cannot be read or
+written is never an error.  Every other subcommand ignores the cache.
 
 Each subcommand imports the library modules it uses when it runs, so
 a process loads only what its subcommand needs: `cld` loads
@@ -266,8 +265,7 @@ class ScanCache:
         return f"{__version__}:cd:{d}:{p}:{scan_depth}"
 
     def get(self, key: str) -> Optional[dict]:
-        entry = self._entries.get(key)
-        return entry["payload"] if entry else None
+        return self._entries.get(key, {}).get("payload")
 
     def put(self, key: str, payload: dict) -> None:
         self._entries[key] = {"checksum": _checksum(payload), "payload": payload}
@@ -286,30 +284,26 @@ class ScanCache:
 
 def cached_c_d(cache: ScanCache, d: int, p: Optional[int],
                scan_depth: int) -> Tuple[FactoredInt, dict, bool]:
-    """Certified gcd with cache lookaside; returns (value, certificate
-    JSON, was_hit).  An entry is served only when its certificate names
-    this (d, p, scan_depth) and has a JSON integer witness for each prime
-    q <= d + 1, in order; its value is read off those witnesses, never stored.  One
-    that is absent, names another request or does not decode is a miss,
-    and is overwritten.  Without a cache file it computes and stores nothing."""
-    from .compat_bounds import c_d, witnessed_c_d
-    from .numtheory import primes_upto
-    key = ScanCache.key(d, p, scan_depth)
-    payload = cache.get(key)
-    try:  # an absent entry is None, so a TypeError like a misshapen one
-        cert = payload["certificate"]
-        ws = cert["witnesses"]
-        if ((cert["d"], cert["excluded_p"], cert["primes_scanned"]) == (d, p, scan_depth)
-                and list(ws) == [str(q) for q in primes_upto(d + 1)]
-                and all(type(ell) is int for ell in ws.values())):
-            return witnessed_c_d(d, ((int(q), ell) for q, ell in ws.items())), cert, True
-    except (KeyError, TypeError, AttributeError, ValueError):
-        pass  # a payload of the wrong shape, or a q = 2 witness below 2
+    """Certified gcd, marked when the cache already holds it; returns
+    (value, certificate JSON, was_hit).  It always computes with c_d, so
+    the library checks the request first, and only then reads the entry
+    under the request's key.  A hit is an entry whose stored certificate
+    is this one: the same fields, and witnesses in the same order with
+    the same JSON types.  Any other entry is a miss and is overwritten.
+    Stored data is never decoded or printed; without a cache file it
+    stores nothing."""
+    from .compat_bounds import c_d
     value, cert = c_d(d, p, scan_depth)
     cert = cert_to_json(cert)
-    if cache.path:
+    key = ScanCache.key(d, p, scan_depth)
+    payload = cache.get(key)
+    stored = payload.get("certificate") if isinstance(payload, dict) else None
+    # fields in any order, but witnesses in order and JSON types as they are (2.0 is not 2)
+    hit = (isinstance(stored, dict)
+           and json.dumps(sorted(stored.items())) == json.dumps(sorted(cert.items())))
+    if not hit and cache.path:
         cache.put(key, {"certificate": cert})
-    return value, cert, False
+    return value, cert, hit
 
 
 # ------------------------------------------------------------------- commands

@@ -14,9 +14,7 @@ c_ds searches the scan once per q for its first primitive root, the
 witness; a q without one has no witness, and c_ds raises
 UnstableCertificateError.  For q = 2 the valuation depends only on ell
 mod 8, so covering all four odd residue classes mod 8 certifies the
-minimum over the scan.  witnessed_c_d reads the gcd off the witnesses,
-the closed form at each odd q and the q = 2 witness's own valuation, so
-a stored certificate gives back its value.
+minimum over the scan, and the gcd's 2-valuation is that minimum.
 """
 
 from __future__ import annotations
@@ -79,15 +77,6 @@ def _v2_of_order(ell: int, d: int) -> int:
             + _v_factorial(h, 2))
 
 
-def witnessed_c_d(d: int, witnesses) -> FactoredInt:
-    """The gcd for dimension d that the (q, ell) witness pairs certify:
-    k + v_q(k!) with k = floor(d / (q - 1)) at each odd q, whatever its
-    witness, and at q = 2 the 2-valuation of the order at its witness ell."""
-    return FactoredInt.from_dict({
-        q: _v2_of_order(ell, d) if q == 2 else (k := d // (q - 1)) + _v_factorial(k, q)
-        for q, ell in witnesses})
-
-
 def c_ds(ds: Sequence[int], p: Optional[int] = None, scan_depth: int = DEFAULT_SCAN_DEPTH
          ) -> Tuple[Tuple[FactoredInt, ScanCertificate], ...]:
     """(value, certificate) per d in ds: the certified gcd over all primes != p.
@@ -128,8 +117,10 @@ def c_ds(ds: Sequence[int], p: Optional[int] = None, scan_depth: int = DEFAULT_S
     for d in ds:
         m = next((i for i, q in enumerate(odd_qs) if q > d + 1), len(odd_qs))
         witnesses = {q: root for q, root in zip(odd_qs[:m], roots) if root is not None}
+        exponents = {q: (k := d // (q - 1)) + _v_factorial(k, q) for q in witnesses}
         if d:  # q = 2: the first scanned prime of least 2-valuation, per d
-            _, witnesses[2] = min((_v2_of_order(ell, d), ell) for ell in scanned)
+            exponents[2], witnesses[2] = min((_v2_of_order(ell, d), ell)
+                                             for ell in scanned)
         cert = ScanCertificate(
             d=d,
             excluded_p=p,
@@ -140,7 +131,7 @@ def c_ds(ds: Sequence[int], p: Optional[int] = None, scan_depth: int = DEFAULT_S
         )
         if not cert.stable:
             raise UnstableCertificateError(cert)
-        results.append((witnessed_c_d(d, cert.witnesses), cert))
+        results.append((FactoredInt.from_dict(exponents), cert))
     return tuple(results)
 
 

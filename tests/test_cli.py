@@ -436,7 +436,7 @@ def test_cache_transparency(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
     code, cold = run_cli(capsys, "cd", "--d", "2", "--p", "7")
     assert code == EXIT_OK and "cached" not in cold
-    # an entry holds the certificate; a hit reads the value off its witnesses
+    # an entry holds the certificate; a hit computes, then finds it stored
     (entry,) = json.loads(cache.read_text())["entries"].values()
     assert entry["payload"] == {"certificate": cold["certificate"]}
     code, warm = run_cli(capsys, "cd", "--d", "2", "--p", "7")
@@ -660,6 +660,100 @@ def test_cached_table_is_the_computed_table_and_one_line(capsys, tmp_path,
     warm = capsys.readouterr().out
     assert "  witnesses:\n" in cold and "cached" not in cold
     assert warm == cold + "cached: True\n"
+
+
+@pytest.mark.parametrize("field, value", [
+    # the order's 2-valuation is 5 at 23 and 4 at 3: read off 23, c_2 would be 96
+    ("witnesses", {"2": 23, "3": 2}),
+    ("stable", False),
+], ids=["two-witness-23", "unstable"])
+def test_a_stored_certificate_other_than_the_computed_one_is_a_miss(
+        capsys, tmp_path, monkeypatch, field, value):
+    code, cold = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    assert cold["value"]["value"] == "48" and cold["certificate"]["stable"] is True
+    cache = tmp_path / "scan.cache"
+    cache_file(cache, ScanCache.key(2, 7, DEFAULT_SCAN_DEPTH),
+               {"certificate": dict(cold["certificate"], **{field: value})})
+    monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
+    code, out = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    assert code == EXIT_OK and out == cold
+    (stored,) = json.loads(cache.read_text())["entries"].values()
+    assert stored["payload"] == {"certificate": cold["certificate"]}
+    code, warm = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    assert code == EXIT_OK and warm.pop("cached") is True and warm == cold
+
+
+@pytest.mark.parametrize("d, p, depth", [
+    (-5, None, DEFAULT_SCAN_DEPTH), (2, 4, DEFAULT_SCAN_DEPTH), (2, 7, 1),
+    (2, None, 3000000),
+], ids=["d-negative", "p-composite", "depth-1", "depth-past-the-table"])
+def test_a_request_the_library_refuses_is_refused_with_an_entry_too(
+        capsys, tmp_path, monkeypatch, d, p, depth):
+    # an entry under the request's key whose certificate names the request
+    argv = ["cd", "--d", str(d), "--scan-depth", str(depth)]
+    argv += ["--p", str(p)] if p is not None else []
+    code, cold = run_cli(capsys, *argv)
+    assert code == EXIT_VALIDATION and cold["error"]["type"] == "ValidationError"
+    cache = tmp_path / "scan.cache"
+    cache_file(cache, ScanCache.key(d, p, depth), {"certificate": {
+        "d": d, "excluded_p": p, "primes_scanned": depth,
+        "candidate_primes": [2, 3] if d > 0 else [],
+        "witnesses": {"2": 3, "3": 2} if d > 0 else {}, "stable": True}})
+    text = cache.read_text()
+    monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_VALIDATION and out == cold
+    assert cache.read_text() == text  # neither read as an answer nor rewritten
+
+
+def test_an_entry_without_a_payload_is_a_miss(capsys, tmp_path, monkeypatch):
+    # its checksum is that of {}, the payload the load assumes when none is stored
+    code, cold = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    cache = tmp_path / "scan.cache"
+    cache.write_text(json.dumps({"version": monobound.__version__, "entries": {
+        ScanCache.key(2, 7, DEFAULT_SCAN_DEPTH): {"checksum": cli._checksum({})}}}))
+    monkeypatch.setenv("MONOBOUND_CACHE", str(cache))
+    code, out = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    assert code == EXIT_OK and out == cold
+    code, warm = run_cli(capsys, "cd", "--d", "2", "--p", "7")
+    assert code == EXIT_OK and warm.pop("cached") is True and warm == cold
+
+
+def near_values(old):
+    """JSON values equal to old in Python but not in JSON, and others close by."""
+    near = [old, str(old), [old], {"0": old}, None]
+    if type(old) is int:
+        near += [float(old), old + 1, -old, old == 1]
+    elif type(old) is bool:
+        near += [int(old), not old]
+    return st.sampled_from(near)
+
+
+@given(cd_requests, st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_stored_certificate_never_changes_what_cd_prints(request, data):
+    # the request's own certificate with one field or one witness replaced
+    # by any JSON value, under a matching checksum: cd prints its uncached
+    # stdout, marked "cached" exactly when the replacement is the same JSON
+    _, cert = c_d(*request)
+    stored = cert_to_json(cert)
+    slots = [(stored, k) for k in stored]
+    slots += [(stored["witnesses"], q) for q in stored["witnesses"]]
+    target, slot = data.draw(st.sampled_from(slots))
+    old = target[slot]
+    new = data.draw(near_values(old) | json_values(st.integers()))
+    target[slot] = new
+    d, p, depth = request
+    argv = ["cd", "--d", str(d), "--scan-depth", str(depth)]
+    argv += ["--p", str(p)] if p is not None else []
+    code, computed = call_main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = Path(tmp) / "scan.cache"
+        cache_file(cache, ScanCache.key(*request), {"certificate": stored})
+        warm_code, text = call_main(argv, cache=str(cache))
+    assert warm_code == code == EXIT_OK
+    marked = computed.replace("{\n", '{\n  "cached": true,\n', 1)
+    assert text == (marked if json.dumps(new) == json.dumps(old) else computed)
 
 
 def test_no_value_expansion(capsys):
@@ -1097,3 +1191,108 @@ def test_every_payload_gets_an_answer_or_a_typed_error(cli_input):
         assert list(out) == ["error"]
         assert isinstance(out["error"]["type"], str)
         assert isinstance(out["error"]["message"], str)
+
+
+# Input that never reaches the library: payloads the JSON reader refuses
+# (an integer literal past the 4300-digit limit in any integer slot, a
+# truncated payload, arrays nested in a slot, as deep as 10^5) exit 4, and
+# option values argparse refuses exit 2 with a JSON UsageError.
+
+well_formed = st.one_of(
+    st.tuples(st.just(["invariants"]), st.fixed_dictionaries({"family": st.fixed_dictionaries({
+        "kind": st.just("hypersurface"), "n": st.integers(1, 4),
+        "degrees": st.lists(st.integers(1, 6), min_size=1, max_size=2)})})),
+    st.tuples(st.sampled_from([["variety-bound", "--p", "7"], ["descend"]]),
+              st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries({
+                  "n": st.just(n),
+                  "b": st.lists(st.integers(0, 10 ** 3), min_size=n, max_size=n),
+                  "c": st.lists(entries, min_size=n - 1, max_size=n - 1)})).map(
+                      lambda inv: {"invariants": inv})),
+    st.tuples(st.just(["wd-decompose"]), squares(entries).map(lambda m: {"matrix": m})),
+)
+
+
+def slot_paths(obj, path=()):
+    """The path to every integer, and to every array, in obj."""
+    if type(obj) is int or isinstance(obj, list):
+        yield path
+    children = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, child in children:
+        yield from slot_paths(child, path + (key,))
+
+
+def slot_value(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def unreadable_payloads(draw):
+    argv, obj = draw(well_formed)
+    text = json.dumps(obj)
+    kind = draw(st.sampled_from(["long-int", "prefix", "nested"]))
+    if kind == "prefix":
+        return argv, text[:draw(st.integers(0, len(text) - 1))]
+    paths = [path for path in slot_paths(obj) if path]
+    path = draw(st.sampled_from([q for q in paths if kind == "nested"
+                                 or type(slot_value(obj, q)) is int]))
+    if kind == "long-int":
+        digits = draw(st.integers(4301, 6000))
+        token = draw(st.sampled_from(["", "-"])) + "1" * digits
+        if path[0] == "matrix" and draw(st.booleans()):  # a rational string
+            token = json.dumps(draw(st.sampled_from([token, f"1/{token[-digits:]}"])))
+    else:
+        depth = draw(mostly(st.integers(2, 50), st.integers(10 ** 4, 10 ** 5)))
+        token = "[" * depth + "]" * depth
+    slot_value(obj, path[:-1])[path[-1]] = "@slot@"
+    return argv, json.dumps(obj).replace('"@slot@"', token)
+
+
+@given(unreadable_payloads())
+@settings(max_examples=150, deadline=5000)
+def test_a_payload_the_reader_refuses_is_malformed_input(cli_input):
+    argv, stdin = cli_input
+    code, text = call_main(argv, stdin)
+    assert code == EXIT_MALFORMED
+    assert json.loads(text)["error"]["type"] == "MalformedInput"
+
+
+def refused_value(text):
+    """True when neither an int option nor --format accepts text."""
+    try:
+        int(text)
+    except ValueError:
+        return text not in ("json", "table")
+    return False
+
+
+int_options = [
+    (["cld", "--ell", "3", "--d", "2"], ["--ell", "--d", "--value-digit-limit"]),
+    (["cd", "--d", "2"], ["--d", "--p", "--scan-depth", "--value-digit-limit"]),
+    (["refined", "--d", "2", "--p", "3"],
+     ["--d", "--p", "--scan-depth", "--value-digit-limit"]),
+    (["variety-bound", "--p", "7"], ["--p", "--h", "--scan-depth"]),
+    (["descend"], ["--steps"]),
+]
+refused_options = st.sampled_from(int_options).flatmap(lambda command: st.tuples(
+    st.just(command[0]), st.sampled_from(command[1] + ["--format"]),
+    mostly(st.sampled_from(["x", "1.5", "-1.5", "1e3", "0x10", "", "two", "xml"]),
+           st.text(max_size=6).filter(refused_value)),
+    st.booleans()))
+
+
+@given(refused_options)
+@settings(max_examples=100, deadline=5000)
+def test_an_option_value_argparse_refuses_is_a_json_usage_error(option):
+    # the refused value is the last option; a missing value is the option alone
+    argv, name, value, missing = option
+    argv = argv + ([name] if missing else [f"{name}={value}"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+            pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    error = json.loads(out.getvalue())["error"]
+    assert error["type"] == "UsageError" and list(error) == ["message", "type"]

@@ -100,7 +100,27 @@ def test_benchmark_tracer_keeps_output_and_exit_code(monkeypatch, tmp_path,
         for entry in (["-m", "monobound.cli"], [str(TRACED_CLI), str(spans), "q1"]))
     assert traced.returncode == plain.returncode == exit_code
     assert traced.stdout == plain.stdout
-    assert "cli.main" in {span[0] for span in json.loads(spans.read_text())["spans"]}
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert "cli.main" in names and (argv[0] != "cd" or "cli.cached_c_d" in names)
+
+
+def test_benchmark_tracer_keeps_a_cached_cd(tmp_path):
+    # the tracer also wraps ScanCache.__init__ and ScanCache.put; each side
+    # runs twice on its own cache file, a store and then a hit
+    argv = ["cd", "--d", "2", "--p", "7"]
+    spans = tmp_path / "spans.json"
+    outputs = {}
+    for side, entry in (("plain", ["-m", "monobound.cli"]),
+                        ("traced", [str(TRACED_CLI), str(spans), "q1"])):
+        env = dict(cli_env(), **{cli.CACHE_ENV_VAR: str(tmp_path / f"{side}.cache")})
+        outputs[side] = [subprocess.run([sys.executable, *entry, *argv],
+                                        capture_output=True, env=env, timeout=60)
+                         for _ in range(2)]
+    assert [(p.returncode, p.stdout) for p in outputs["traced"]] == [
+        (p.returncode, p.stdout) for p in outputs["plain"]]
+    assert [b'"cached": true' in p.stdout for p in outputs["plain"]] == [False, True]
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert {"cli.main", "cli.cached_c_d", "cli.cache_load", "compat_bounds.c_d"} <= names
 
 
 def test_installed_script_is_run():
