@@ -150,10 +150,14 @@ def p_part_c_d(d: int, p: int, scan_depth: int = DEFAULT_SCAN_DEPTH) -> Factored
 class RefinedBound(Record):
     """Tame/wild refinement for a d-dimensional representation.
 
-    tame_set lists every possible order i of a tame generator (those with
-    phi(i) <= d); tame_max and tame_lcm are the two ways of combining
-    them.  wild_part is a power of p bounding the wild image: the p-part
-    of the certified gcd over primes != p, whose scan is `certificate`.
+    tame_set is {i : phi(i) <= d}, the possible orders of one
+    root-of-unity eigenvalue, and tame_max is the largest of them.
+    tame_lcm, their lcm, bounds the order of every finite-order element:
+    that order is the lcm of its eigenvalues' orders, so it divides
+    tame_lcm.  tame_max does not bound it (diag(C(Phi_5), C(Phi_6)) has
+    order 30 at d = 6, where tame_max is 18).  wild_part is a power of p
+    bounding the wild image: the p-part of the certified gcd over
+    primes != p, whose scan is `certificate`.
     """
 
     d: int

@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genmatrices import random_quasi_unipotent
@@ -75,6 +75,12 @@ def test_cld(capsys):
 
     code, out = run_cli(capsys, "cld", "--ell", "7", "--d", "0")
     assert out["order"] == {"factors": {}, "value": "1"}
+
+    # |GL_40(F_3)| from the Phi_k(3) table is the plain product
+    code, out = run_cli(capsys, "cld", "--ell", "3", "--d", "40")
+    assert code == EXIT_OK
+    assert int(out["order"]["value"]) == \
+        3 ** 780 * math.prod(3 ** i - 1 for i in range(1, 41))
 
 
 def test_cld_rejects_composite(capsys):
@@ -148,6 +154,8 @@ def test_value_digit_limit_expands_exactly_the_short_values(capsys):
     assert len(text) == decimal_digits(value) == 11197
     assert int(text[:1000]) == value // 10 ** (len(text) - 1000)
     assert int(text[-1000:]) == value % 10 ** 1000
+    with cli._lifted_int_limit():
+        assert int(text) == value
     code, out = run_cli(capsys, "cd", "--d", "3000", "--p", "5",
                         "--value-digit-limit", "11196")
     assert code == EXIT_OK and "value" not in out["value"]
@@ -190,6 +198,11 @@ def test_cd_unstable_exit_code(capsys):
     assert code == EXIT_UNSTABLE
     assert out["error"]["type"] == "UnstableCertificate"
     assert out["error"]["certificate"]["stable"] is False
+    # 2, ..., 17 hold no primitive root mod 191: q = 191 has no witness
+    code, out = run_cli(capsys, "cd", "--d", "190", "--scan-depth", "7")
+    assert code == EXIT_UNSTABLE
+    assert out["error"]["type"] == "UnstableCertificate"
+    assert "191" not in out["error"]["certificate"]["witnesses"]
 
 
 def test_variety_bound_family(capsys, tmp_path):
@@ -244,7 +257,9 @@ def test_malformed_input_exit_code(capsys, tmp_path):
 def test_deeply_nested_json_is_malformed(capsys, tmp_path):
     path = tmp_path / "nested.json"
     path.write_text('{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    start = time.perf_counter()
     code, out = run_cli(capsys, "wd-decompose", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
     assert code == EXIT_MALFORMED
     assert out["error"]["type"] == "MalformedInput"
 
@@ -256,7 +271,9 @@ def test_deeply_nested_json_is_malformed(capsys, tmp_path):
 ])
 def test_families_past_the_caps_are_refused_at_once(capsys, tmp_path, family):
     path = write_input(tmp_path, {"family": family})
+    start = time.perf_counter()
     code, out = run_cli(capsys, "invariants", "--input", path)
+    assert time.perf_counter() - start < 1.0
     assert code == EXIT_VALIDATION
     assert out["error"]["type"] == "ValidationError"
 
@@ -332,6 +349,7 @@ def test_wd_decompose_rational_entries(capsys, tmp_path):
 @pytest.mark.parametrize("matrix, tau", [
     ([["0", "-3/2"], ["2/3", "0"]], "-3/2"),
     ([["0", "5"], ["-1/5", "0"]], "5"),
+    ([["0", "1/2"], ["-2", "0"]], "1"),
 ])
 def test_wd_decompose_round_trips_rational_entries(capsys, tmp_path, matrix, tau):
     # M of order 4: r = M and N = 0
@@ -367,12 +385,14 @@ def test_matrix_shape_and_size_are_checked_before_any_entry(capsys, tmp_path):
     assert code == EXIT_MALFORMED
     assert out["error"] == {"type": "MalformedInput", "message":
                             "bad matrix payload: matrix must be square and nonempty"}
-    path = write_input(tmp_path, {"matrix": [[0] * 65] * 65})
-    start = time.perf_counter()
-    code, out = run_cli(capsys, "wd-decompose", "--input", path)
-    assert time.perf_counter() - start < 0.5
-    assert code == EXIT_VALIDATION and out["error"]["type"] == "ValidationError"
-    assert "MAX_MATRIX_DIM = 64" in out["error"]["message"]
+    # "x" would be malformed input if any entry were read
+    for entry in (0, "x"):
+        path = write_input(tmp_path, {"matrix": [[entry] * 65] * 65})
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "wd-decompose", "--input", path)
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_VALIDATION and out["error"]["type"] == "ValidationError"
+        assert "MAX_MATRIX_DIM = 64" in out["error"]["message"]
     # at the cap the matrix is read, and refused for what it is
     path = write_input(tmp_path, {"matrix": [[0] * 64] * 64})
     code, out = run_cli(capsys, "wd-decompose", "--input", path)
@@ -389,6 +409,7 @@ def test_wd_decompose_signed_and_fraction_entries(capsys, tmp_path):
 
 @pytest.mark.parametrize("entry, tau", [
     ("1e3000000", "1"),  # Fraction(str) would expand 10^3000000
+    ("1e999999999", "1"),
     ("0.5", "1"),
     ("1", "1e5"),
     ("+-1", "1"),
@@ -595,6 +616,7 @@ cd_requests = st.tuples(st.integers(1, 40), st.sampled_from([None, 2, 3, 5, 7]),
 
 
 @given(cd_requests, cd_requests)
+@example((2, 7, DEFAULT_SCAN_DEPTH), (3, 7, DEFAULT_SCAN_DEPTH))
 @settings(max_examples=50, deadline=None)
 def test_cache_serves_an_entry_only_to_the_request_it_names(request, stored):
     # the entry under the request's key holds the payload of another
@@ -848,7 +870,9 @@ def test_cd_value_is_written_exactly_up_to_the_digit_limit(d, limit):
 def test_huge_betti_number_is_refused_at_once(capsys, tmp_path):
     # d = 10^12 is past the prime table's limit: exit 2 before any scan
     path = write_input(tmp_path, {"invariants": {"n": 1, "b": [10 ** 12], "c": []}})
+    start = time.perf_counter()
     code, out = run_cli(capsys, "variety-bound", "--p", "5", "--input", path)
+    assert time.perf_counter() - start < 1.0
     assert code == EXIT_VALIDATION
     assert out["error"]["type"] == "ValidationError"
     assert "SIEVE_LIMIT" in out["error"]["message"]
@@ -861,14 +885,16 @@ def test_table_format(capsys):
     assert "order:" in out and '"2": 4' not in out.split("order:")[0]
 
 
-@pytest.mark.parametrize("n, degree, p", [(2, 4, 7), (3, 5, 2)])
+@pytest.mark.parametrize("n, degree, p", [(2, 4, 7), (3, 5, 2), (3, 5, 5), (6, 8, 5)])
 def test_variety_bound_is_the_library_bound(capsys, tmp_path, n, degree, p):
-    # K3 and the quintic threefold
+    # K3, the quintic threefold and the octic sixfold
     inv = invariants_of(FamilySpec("hypersurface", n, (degree,)))
     report = bound(inv, p)
     path = write_input(tmp_path, {"family": {"kind": "hypersurface", "n": n,
                                              "degrees": [degree]}})
+    start = time.perf_counter()
     code, out = run_cli(capsys, "variety-bound", "--input", path, "--p", str(p))
+    assert time.perf_counter() - start < 5.0
     assert code == EXIT_OK
     assert out == {
         "invariants": invariants_to_json(inv),
@@ -1016,7 +1042,9 @@ def test_scan_depth_below_two_is_a_validation_error(capsys):
 
 
 def test_scan_depth_beyond_the_prime_table_is_a_validation_error(capsys):
+    start = time.perf_counter()
     code, out = run_cli(capsys, "cd", "--d", "2", "--scan-depth", "3000000")
+    assert time.perf_counter() - start < 1.0
     assert code == EXIT_VALIDATION
     assert out["error"]["type"] == "ValidationError"
     assert out["error"]["message"].startswith("scan_depth must be <= 2063688")

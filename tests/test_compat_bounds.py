@@ -1,11 +1,14 @@
 import itertools
 import math
+import random
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from genmatrices import random_quasi_unipotent
 from monobound.compat_bounds import (
     MAX_SCAN_DEPTH,
     ScanCertificate,
@@ -18,6 +21,7 @@ from monobound import compat_bounds, numtheory
 from monobound.errors import UnstableCertificateError, ValidationError
 from monobound.group_orders import c_ell_d_int
 from monobound.numtheory import SIEVE_LIMIT
+from monobound.wd_matrix import RationalMatrix, semisimple_order
 
 
 def minkowski_closed_form(d):
@@ -328,6 +332,46 @@ def test_tame_lcm_is_the_lcm_of_the_tame_set():
         if d <= 30 or d % 499 == 0:
             assert refined_bound(d, 5).tame_lcm == lcm == math.lcm(
                 *numtheory.phi_inverse_set(d)), d
+    # from prime powers, refined_bound answers d = 10^5 in well under a
+    # second; an lcm over its tame set of 194 429 entries took about 10 s
+    # on a 2-vCPU VM
+    start = time.perf_counter()
+    refined_bound(100_000, 5)
+    assert time.perf_counter() - start < 5.0
+
+
+# diag(C(Phi_5), C(Phi_6)): eigenvalues of orders 5 and 6, so the matrix
+# has order 30 in GL_6(Z)
+ORDER_30 = RationalMatrix.from_rows([
+    [0, 0, 0, -1, 0, 0],
+    [1, 0, 0, -1, 0, 0],
+    [0, 1, 0, -1, 0, 0],
+    [0, 0, 1, -1, 0, 0],
+    [0, 0, 0, 0, 0, -1],
+    [0, 0, 0, 0, 1, 1],
+])
+
+
+def test_tame_max_bounds_an_eigenvalue_order_and_tame_lcm_an_element_order():
+    m = semisimple_order(ORDER_30)
+    rb = refined_bound(6, 5)
+    assert m == 30
+    assert m not in rb.tame_set and m > rb.tame_max == 18
+    assert rb.tame_lcm % m == 0
+
+
+def test_the_order_of_a_finite_order_part_divides_tame_lcm_and_c_d():
+    # <r> is a finite subgroup of GL_d(Z) up to conjugacy; it injects into
+    # GL_d(F_ell) for odd ell and into GL_d(Z/4Z), so m divides their gcd
+    rng = random.Random(31)
+    matrices = [random_quasi_unipotent(rng, rng.randint(1, 8))[0] for _ in range(200)]
+    bounds = {(d, p): (refined_bound(d, p).tame_lcm, c_d(d, p)[0].value())
+              for d in range(1, 9) for p in (2, 3, 5, 7)}
+    for M in matrices + [ORDER_30]:
+        m = semisimple_order(M)
+        for p in (2, 3, 5, 7):
+            tame_lcm, c = bounds[M.dim, p]
+            assert tame_lcm % m == 0 and c % m == 0, (M, p)
 
 
 def test_refined_bound_validation():

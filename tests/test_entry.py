@@ -60,36 +60,63 @@ def test_main_never_freezes(capsys):
     assert gc.get_freeze_count() == before
 
 
+CUBIC = json.dumps({"family": {"kind": "hypersurface", "n": 511, "degrees": [3]}})
+
+# Cases beside SUBCOMMANDS, as (argv, stdin, exit code, error type).  Each
+# process ends within the 10 s timeout of test_process_output_is_mains_output.
+ANSWERS = [
+    # one Chern series per family
+    pytest.param(["invariants"], CUBIC, cli.EXIT_OK, None, id="invariants-n511"),
+    # tame_lcm from prime powers, not an lcm over the whole tame set
+    pytest.param(["refined", "--d", "100000", "--p", "5"], "", cli.EXIT_OK, None,
+                 id="refined-d100000"),
+]
 ERRORS = [
-    (["cld", "--ell", "4", "--d", "2"], "", cli.EXIT_VALIDATION),
-    (["cd", "--d", "5", "--scan-depth", "2"], "", cli.EXIT_UNSTABLE),
-    (["variety-bound", "--p", "7"],
-     json.dumps({"invariants": {"n": 2, "b": [0, 22.9], "c": [-4]}}), cli.EXIT_MALFORMED),
-    (["cld", "--ell", "5", "--d", "47"], "", cli.EXIT_UNDECIDED),
+    pytest.param(["cld", "--ell", "4", "--d", "2"], "", cli.EXIT_VALIDATION,
+                 "ValidationError", id="exit2"),
+    pytest.param(["cd", "--d", "5", "--scan-depth", "2"], "", cli.EXIT_UNSTABLE,
+                 "UnstableCertificate", id="exit3"),
+    pytest.param(["variety-bound", "--p", "7"],
+                 json.dumps({"invariants": {"n": 2, "b": [0, 22.9], "c": [-4]}}),
+                 cli.EXIT_MALFORMED, "MalformedInput", id="exit4"),
+    pytest.param(["cld", "--ell", "5", "--d", "47"], "", cli.EXIT_UNDECIDED,
+                 "UndecidedCofactor", id="exit5"),
+    pytest.param(["wd-decompose"], json.dumps({"matrix": [[2, 1], [1, 1]]}),
+                 cli.EXIT_VALIDATION, "PreconditionViolatedError",
+                 id="not-quasi-unipotent"),
+    pytest.param(["wd-decompose"], json.dumps({"matrix": [[0, 0], [0, 1]]}),
+                 cli.EXIT_VALIDATION, "SingularInputError", id="singular"),
+    # the cubic's d_25 is past the prime table: refused before the scans of
+    # the 24 entries ahead of it
+    pytest.param(["variety-bound", "--p", "5"], CUBIC, cli.EXIT_VALIDATION,
+                 "ValidationError", id="d-vector-past-the-table"),
 ]
 
 
 CASES = pytest.mark.parametrize(
-    "argv, stdin, exit_code",
-    [(argv, stdin, cli.EXIT_OK) for argv, stdin in SUBCOMMANDS] + ERRORS,
-    ids=[argv[0] for argv, _ in SUBCOMMANDS] + [f"exit{code}" for _, _, code in ERRORS])
+    "argv, stdin, exit_code, error_type",
+    [pytest.param(argv, stdin, cli.EXIT_OK, None, id=argv[0])
+     for argv, stdin in SUBCOMMANDS] + ANSWERS + ERRORS)
 
 
 @CASES
-def test_process_output_is_mains_output(monkeypatch, capsys, argv, stdin, exit_code):
+def test_process_output_is_mains_output(monkeypatch, capsys, argv, stdin, exit_code,
+                                        error_type):
     monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
     proc = subprocess.run([sys.executable, "-m", "monobound.cli", *argv],
                           input=stdin.encode(), capture_output=True,
-                          env=cli_env(), timeout=60)
+                          env=cli_env(), timeout=10)
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = cli.main(argv)
     assert proc.returncode == code == exit_code
     assert proc.stdout == capsys.readouterr().out.encode()
+    if error_type:
+        assert json.loads(proc.stdout)["error"]["type"] == error_type
 
 
 @CASES
 def test_benchmark_tracer_keeps_output_and_exit_code(monkeypatch, tmp_path,
-                                                    argv, stdin, exit_code):
+                                                    argv, stdin, exit_code, error_type):
     # the benchmark's tracer wraps library names; a missing one would make
     # every traced query exit 1
     monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
