@@ -133,8 +133,8 @@ def cert_to_json(cert: ScanCertificate) -> dict:
         "d": cert.d,
         "excluded_p": cert.excluded_p,
         "primes_scanned": cert.primes_scanned,
-        "candidate_primes": list(cert.candidate_primes_q),
-        "witnesses": {str(q): ell for q, ell in cert.witnesses},
+        "candidate_primes": [q for q, _ in cert.witnesses],
+        "witnesses": {str(q): ell for q, ell in cert.witnesses if ell is not None},
         "stable": cert.stable,
     }
 

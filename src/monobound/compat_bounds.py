@@ -43,17 +43,18 @@ MAX_SCAN_DEPTH = 2_063_688
 class ScanCertificate(Record):
     """Audit record of one gcd scan.
 
-    witnesses maps q = 2 to the first scanned prime ell of least
-    2-valuation and each odd candidate q to its first scanned primitive
-    root mod q^2; an odd q with no such root has no entry, and the
-    certificate is then unstable.
+    witnesses lists every candidate q once, in increasing order, with its
+    witness: for q = 2 the first scanned prime of least 2-valuation, for
+    odd q the first scanned primitive root mod q^2, or None if the scan
+    holds none.  Only an unstable certificate, which c_ds raises inside
+    UnstableCertificateError, holds a None; stable also needs the scan
+    to cover the odd residues mod 8, which the list does not show.
     """
 
     d: int
     excluded_p: Optional[int]
     primes_scanned: int
-    candidate_primes_q: Tuple[int, ...]
-    witnesses: Tuple[Tuple[int, int], ...]
+    witnesses: Tuple[Tuple[int, Optional[int]], ...]
     stable: bool
 
 
@@ -85,9 +86,10 @@ def c_ds(ds: Sequence[int], p: Optional[int] = None, scan_depth: int = DEFAULT_S
     table once, so max(ds) + 1 >= numtheory.SIEVE_LIMIT raises
     ValidationError before any work, as do a negative d and a scan_depth
     beyond MAX_SCAN_DEPTH.  One scan of the first scan_depth primes != p
-    finds each odd q's witness once, and each d reads those of its own
-    q <= d + 1.  Each returned certificate is stable; at the first d in ds
-    whose certificate is not, UnstableCertificateError carries it whole.
+    finds each odd q's witness once, as one shared (q, witness) pair, and
+    each d's certificate lists the q = 2 pair and those of its q <= d + 1.
+    Each returned certificate is stable; at the first d in ds whose
+    certificate is not, UnstableCertificateError carries it whole.
     """
     if min(ds) < 0:
         raise ValidationError(f"dimension must be >= 0, got {int_text(min(ds))}")
@@ -113,25 +115,22 @@ def c_ds(ds: Sequence[int], p: Optional[int] = None, scan_depth: int = DEFAULT_S
         roots.append(next((ell for ell in scanned if ell != q
                            and all(pow(ell, (q - 1) // r, q) != 1 for r in rs)
                            and pow(ell, q - 1, q * q) != 1), None))
+    pairs = tuple(zip(odd_qs, roots))  # shared by every certificate
     results = []
     for d in ds:
         m = next((i for i, q in enumerate(odd_qs) if q > d + 1), len(odd_qs))
-        witnesses = {q: root for q, root in zip(odd_qs[:m], roots) if root is not None}
-        exponents = {q: (k := d // (q - 1)) + _v_factorial(k, q) for q in witnesses}
+        q2_pair = q2_factor = ()
         if d:  # q = 2: the first scanned prime of least 2-valuation, per d
-            exponents[2], witnesses[2] = min((_v2_of_order(ell, d), ell)
-                                             for ell in scanned)
-        cert = ScanCertificate(
-            d=d,
-            excluded_p=p,
-            primes_scanned=scan_depth,
-            candidate_primes_q=((2,) if d else ()) + odd_qs[:m],
-            witnesses=tuple(sorted(witnesses.items())),
-            stable=(d == 0 or covered) and None not in roots[:m],
-        )
+            e2, w2 = min((_v2_of_order(ell, d), ell) for ell in scanned)
+            q2_pair, q2_factor = ((2, w2),), ((2, e2),)
+        cert = ScanCertificate(d=d, excluded_p=p, primes_scanned=scan_depth,
+                               witnesses=q2_pair + pairs[:m],
+                               stable=(d == 0 or covered) and None not in roots[:m])
         if not cert.stable:
             raise UnstableCertificateError(cert)
-        results.append((FactoredInt.from_dict(exponents), cert))
+        # Minkowski's exponent k + v_q(k!) per odd q, in the increasing order FactoredInt needs
+        results.append((FactoredInt(q2_factor + tuple(
+            (q, (k := d // (q - 1)) + _v_factorial(k, q)) for q in odd_qs[:m])), cert))
     return tuple(results)
 
 
@@ -188,8 +187,8 @@ def _tame_lcm(d: int) -> int:
 def refined_bound(d: int, p: int, scan_depth: int = DEFAULT_SCAN_DEPTH) -> RefinedBound:
     if d < 1:
         raise ValidationError(f"refined bound needs d >= 1, got {int_text(d)}")
+    value, cert = c_d(d, p, scan_depth)  # refuses a bad p or depth before the enumeration
     tame = tuple(phi_inverse_set(d))
-    value, cert = c_d(d, p, scan_depth)
     return RefinedBound(
         d=d,
         p=p,

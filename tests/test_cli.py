@@ -106,9 +106,15 @@ def test_cld_undecided_cofactor_exit_code(capsys):
     (("cld", "--ell", "-3", "--d", "2"), "primality is defined for nonnegative integers"),
     (("refined", "--d", "2", "--p", str(2 ** 64 + 13)),
      "primality check limited to n < 2**64, got 18446744073709551629"),
+    # refused before the tame set of a large d is enumerated
+    (("refined", "--d", "3000000", "--p", "4"), "4 is not prime"),
+    (("refined", "--d", "1000000", "--p", "5", "--scan-depth", "1"),
+     "scan_depth must be >= 2, got 1"),
 ])
 def test_out_of_domain_arguments_are_validation_errors(capsys, argv, message):
+    start = time.perf_counter()
     code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == EXIT_VALIDATION
     assert out["error"] == {"type": "ValidationError", "message": message}
 
@@ -203,6 +209,7 @@ def test_cd_unstable_exit_code(capsys):
     assert code == EXIT_UNSTABLE
     assert out["error"]["type"] == "UnstableCertificate"
     assert "191" not in out["error"]["certificate"]["witnesses"]
+    assert out["error"]["certificate"]["candidate_primes"][-1] == 191
 
 
 def test_variety_bound_family(capsys, tmp_path):

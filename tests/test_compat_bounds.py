@@ -20,7 +20,7 @@ from monobound.compat_bounds import (
 from monobound import compat_bounds, numtheory
 from monobound.errors import UnstableCertificateError, ValidationError
 from monobound.group_orders import c_ell_d_int
-from monobound.numtheory import SIEVE_LIMIT
+from monobound.numtheory import SIEVE_LIMIT, primes_upto
 from monobound.wd_matrix import RationalMatrix, semisimple_order
 
 
@@ -193,13 +193,13 @@ def test_c_d_independent_of_excluded_p_beyond_five():
 def test_certificate_contents():
     value, cert = c_d(2, 7)
     assert isinstance(cert, ScanCertificate)
-    assert cert.candidate_primes_q == (2, 3)
-    witnesses = dict(cert.witnesses)
-    assert set(witnesses) == {2, 3}
+    # each candidate once, in increasing order, with its witness
+    assert [q for q, _ in cert.witnesses] == [2, 3]
+    assert None not in dict(cert.witnesses).values()
     # every candidate divides the gcd of the first two scanned values
     ell1, ell2 = scanned_primes(7, 2)
     g2 = math.gcd(c_ell_d_int(ell1, 2), c_ell_d_int(ell2, 2))
-    assert all(g2 % q == 0 for q in cert.candidate_primes_q)
+    assert all(g2 % q == 0 for q, _ in cert.witnesses)
 
 
 def test_scan_skips_the_excluded_prime():
@@ -223,22 +223,21 @@ def unstable_certificate(d, p, scan_depth):
 def test_unstable_scan_is_reported_not_hidden():
     # two scanned primes cannot cover the residue classes mod 8
     cert = unstable_certificate(2, 7, 2)
-    assert cert.candidate_primes_q == (2, 3)
+    assert [q for q, _ in cert.witnesses] == [2, 3]
     for f in (p_part_c_d, refined_bound):
         with pytest.raises(UnstableCertificateError):
             f(2, 7, scan_depth=2)
     # candidates are the primes <= d + 1 even when the short scan's gcd
     # has more prime factors (here 23, which divides 2^11 - 1 and 3^11 - 1)
     cert = unstable_certificate(11, None, 2)
-    assert cert.candidate_primes_q == (2, 3, 5, 7, 11)
+    assert [q for q, _ in cert.witnesses] == [2, 3, 5, 7, 11]
     # 2, ..., 17 cover the odd residues mod 8 but hold no primitive root
-    # mod 191 (the least is 19): q = 191 alone has no witness
+    # mod 191 (the least is 19): q = 191 alone is listed with no witness
     cert = unstable_certificate(190, None, 7)
-    assert 191 in cert.candidate_primes_q
-    witnesses = dict(cert.witnesses)
-    assert set(witnesses) == set(cert.candidate_primes_q) - {191}
+    assert cert.witnesses[-1] == (191, None)
+    assert [q for q, _ in cert.witnesses] == list(primes_upto(191))
     assert all(is_primitive_root_mod_q2(ell, q)
-               for q, ell in witnesses.items() if q > 2)
+               for q, ell in cert.witnesses[1:-1])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=210), min_size=1, max_size=6),

@@ -17,6 +17,9 @@ from test_package import SUBCOMMANDS
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
+sys.path.insert(0, str(ROOT / "perfbench"))  # the benchmark's queries and oracles
+import oracles  # noqa: E402
+import workloads  # noqa: E402
 
 
 def run_in_process(monkeypatch, argv):
@@ -148,6 +151,19 @@ def test_benchmark_tracer_keeps_a_cached_cd(tmp_path):
     assert [b'"cached": true' in p.stdout for p in outputs["plain"]] == [False, True]
     names = {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert {"cli.main", "cli.cached_c_d", "cli.cache_load", "compat_bounds.c_d"} <= names
+
+
+@pytest.mark.parametrize("workload", ["families", "monodromy", "queries"])
+def test_benchmark_oracles_accept_every_answer(monkeypatch, capsys, workload):
+    # the benchmark's queries at seed 1 and its independent oracles, in
+    # process and with no cache: a wrong answer fails here before the
+    # benchmark counts it
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    for query in workloads.build(workload, 1):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(query.stdin))
+        code = cli.main(list(query.argv))
+        verdict, reason = oracles.verdict(query.expect, code, capsys.readouterr().out)
+        assert verdict == "ok", f"{query.qid} {list(query.argv)}: {reason}"
 
 
 def test_installed_script_is_run():

@@ -92,9 +92,9 @@ def test_dataclass_style_repr():
     assert repr(FamilySpec("projective_space", 3)) == (
         "FamilySpec(kind='projective_space', n=3, degrees=())")
     assert repr(k3()) == "VarietyInvariants(n=2, b=(0, 22), c=(-4,))"
-    assert repr(ScanCertificate(2, None, 2, (2, 3), ((2, 3), (3, 2)), False)) == (
+    assert repr(ScanCertificate(2, None, 2, ((2, 3), (3, None)), False)) == (
         "ScanCertificate(d=2, excluded_p=None, primes_scanned=2, "
-        "candidate_primes_q=(2, 3), witnesses=((2, 3), (3, 2)), stable=False)")
+        "witnesses=((2, 3), (3, None)), stable=False)")
     assert repr(RationalMatrix(((1,),), 2)) == "RationalMatrix(num=((1,),), den=2)"
 
 

@@ -184,11 +184,13 @@ def test_bound_scans_once_for_its_largest_entry(monkeypatch):
     rep = bound(quintic, 5)
     assert rep.d_vector.entries == (12, 53, 204)
     assert len(calls) == 45 and len(set(calls)) == 45
-    # each entry reads the witnesses of its own q <= d_j + 1 off that scan,
-    # and gets what c_d gives it alone
-    last = dict(rep.certificates[-1].witnesses)
+    # each entry lists the q = 2 pair and a prefix of that scan's odd
+    # (q, witness) pairs, the very objects the largest entry lists, and
+    # gets what c_d gives it alone
+    last = rep.certificates[-1].witnesses
     for d_j, value, cert in zip(rep.d_vector.entries, rep.factors, rep.certificates):
-        assert cert.candidate_primes_q == tuple(q for q in last if q <= d_j + 1)
-        assert {q: ell for q, ell in cert.witnesses if q > 2} == {
-            q: ell for q, ell in last.items() if 2 < q <= d_j + 1}
+        assert cert.witnesses[0][0] == 2
+        odd = cert.witnesses[1:]
+        assert [q for q, _ in odd] == [q for q, _ in last[1:] if q <= d_j + 1]
+        assert all(pair is shared for pair, shared in zip(odd, last[1:]))
         assert (value, cert) == compat_bounds.c_d(d_j, 5)
