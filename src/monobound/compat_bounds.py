@@ -19,6 +19,7 @@ minimum over the scan, and the gcd's 2-valuation is that minimum.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Optional, Sequence, Tuple
 
@@ -87,9 +88,9 @@ def c_ds(ds: Sequence[int], p: Optional[int] = None, scan_depth: int = DEFAULT_S
     ValidationError before any work, as do a negative d and a scan_depth
     beyond MAX_SCAN_DEPTH.  One scan of the first scan_depth primes != p
     finds each odd q's witness once, as one shared (q, witness) pair, and
-    each d's certificate lists the q = 2 pair and those of its q <= d + 1.
-    Each returned certificate is stable; at the first d in ds whose
-    certificate is not, UnstableCertificateError carries it whole.
+    each d's certificate lists the q = 2 pair and those of its q <= d + 1,
+    a prefix found by bisection.  Each returned certificate is stable; at
+    the first unstable d in ds, UnstableCertificateError carries its certificate.
     """
     if min(ds) < 0:
         raise ValidationError(f"dimension must be >= 0, got {int_text(min(ds))}")
@@ -118,7 +119,7 @@ def c_ds(ds: Sequence[int], p: Optional[int] = None, scan_depth: int = DEFAULT_S
     pairs = tuple(zip(odd_qs, roots))  # shared by every certificate
     results = []
     for d in ds:
-        m = next((i for i, q in enumerate(odd_qs) if q > d + 1), len(odd_qs))
+        m = bisect.bisect_right(odd_qs, d + 1)  # odd_qs[:m]: the q <= d + 1, by bisection
         q2_pair = q2_factor = ()
         if d:  # q = 2: the first scanned prime of least 2-valuation, per d
             e2, w2 = min((_v2_of_order(ell, d), ell) for ell in scanned)

@@ -187,17 +187,8 @@ class FactoredInt(Record):
     def from_dict(cls, factors: Dict[int, int]) -> "FactoredInt":
         return cls(tuple(sorted((p, e) for p, e in factors.items() if e > 0)))
 
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self.factors)
-
     def value(self) -> int:
         return math.prod(p ** e for p, e in self.factors)
-
-    def __mul__(self, other: "FactoredInt") -> "FactoredInt":
-        merged = self.as_dict()
-        for p, e in other.factors:
-            merged[p] = merged.get(p, 0) + e
-        return FactoredInt.from_dict(merged)
 
     def valuation(self, q: int) -> int:
         return next((e for p, e in self.factors if p == q), 0)
@@ -208,7 +199,6 @@ class FactoredInt(Record):
 
 
 _table((1 << 16) - 1)  # the first table: 2^16 entries cover factorize's trial division
-FACTORED_ONE = FactoredInt()
 
 
 def primes_upto(n: int) -> Tuple[int, ...]:

@@ -11,13 +11,12 @@ entries untouched).
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 from ._record import Record
 from .compat_bounds import DEFAULT_SCAN_DEPTH, ScanCertificate, c_ds
 from .errors import DimensionTooSmallError, NegativeBettiError, ValidationError, int_text
-from .numtheory import FACTORED_ONE, FactoredInt
+from .numtheory import FactoredInt
 
 
 class VarietyInvariants(Record):
@@ -86,6 +85,7 @@ def bound(inv: VarietyInvariants, p: int, h: Optional[int] = None,
 
     One witness scan, for the largest entry, serves every entry (c_ds), so
     an entry past the prime table raises ValidationError before any scan.
+    The product is built once, from one exponent table of every entry.
     """
     if h is None:
         h = inv.n
@@ -93,8 +93,12 @@ def bound(inv: VarietyInvariants, p: int, h: Optional[int] = None,
         raise ValidationError(f"h must lie in 1..{inv.n}, got {int_text(h)}")
     dv = d_vector(inv)
     factors, certs = zip(*c_ds(dv.entries[:h], p, scan_depth))
+    exponents = {}
+    for f in factors:
+        for q, e in f.factors:
+            exponents[q] = exponents.get(q, 0) + e
     return BoundReport(d_vector=dv, factors=factors,
-                       product=math.prod(factors, start=FACTORED_ONE), certificates=certs)
+                       product=FactoredInt.from_dict(exponents), certificates=certs)
 
 
 def descend(inv: VarietyInvariants) -> VarietyInvariants:

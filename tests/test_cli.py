@@ -659,7 +659,7 @@ def test_a_hit_prints_the_value_its_certificate_gives(request, shifts):
     # the entry holds the request's own certificate, but a "value" whose
     # exponents are shifted, with a matching checksum
     value, cert = c_d(*request)
-    exponents = value.as_dict()
+    exponents = dict(value.factors)
     for q, shift in shifts.items():
         exponents[q] = exponents.get(q, 0) + shift
     d, p, depth = request

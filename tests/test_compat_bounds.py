@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -55,12 +56,74 @@ def valuation_factorial(k, q):
     return v
 
 
+@functools.lru_cache(maxsize=None)
 def scanned_primes(p, count):
     """The first count primes other than p, the scan list of c_d, by trial
     division, apart from the prime table that c_d reads."""
-    return list(itertools.islice(
+    return tuple(itertools.islice(
         (n for n in itertools.count(2)
          if n != p and all(n % k for k in range(2, math.isqrt(n) + 1))), count))
+
+
+def primes_by_sieve(n):
+    """The primes <= n, from a sieve of Eratosthenes of its own."""
+    flags = [r >= 2 for r in range(n + 1)]
+    for r in range(2, math.isqrt(n) + 1):
+        if flags[r]:
+            flags[r * r::r] = [False] * len(range(r * r, n + 1, r))
+    return [r for r, flag in enumerate(flags) if flag]
+
+
+def prime_divisors(n):
+    """The distinct primes dividing n >= 1, by trial division."""
+    found, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            found.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return found + [n] if n > 1 else found
+
+
+@functools.lru_cache(maxsize=None)
+def generates_units_mod_q2(ell, q):
+    """ell is a primitive root mod q^2: its order is q (q - 1), as no
+    ell^(q (q - 1) / r) is 1 mod q^2 for a prime r dividing q (q - 1)."""
+    order = q * (q - 1)
+    return ell % q != 0 and all(pow(ell, order // r, q * q) != 1
+                                for r in prime_divisors(order))
+
+
+def certificate_faults(cert, factors, only=None):
+    """How a stable certificate in CLI JSON, and the "factors" it
+    certifies, differ from their definitions ([] when they do not): its
+    candidates are the primes <= d + 1; each odd q's witness is the first
+    of the first primes_scanned primes other than p that is a primitive
+    root mod q^2; that scan covers the odd classes mod 8; and the exponent
+    of odd q is Minkowski's k + v_q(k!) with k = floor(d / (q - 1)).  With
+    `only`, the factors are the part at that prime alone (a wild part)."""
+    d, depth = cert["d"], cert["primes_scanned"]
+    scan = scanned_primes(cert["excluded_p"], depth)
+    candidates = primes_by_sieve(d + 1)
+    witnesses = {int(q): ell for q, ell in cert["witnesses"].items()}
+    faults = []
+    if cert["candidate_primes"] != candidates:
+        faults.append("candidate_primes are not the primes <= d + 1")
+    if sorted(witnesses) != candidates:
+        faults.append("witnesses are not one per candidate")
+    if d and not {1, 3, 5, 7} <= {ell % 8 for ell in scan}:
+        faults.append("the scan misses an odd class mod 8")
+    if d and witnesses.get(2) not in scan:
+        faults.append("the q = 2 witness is not scanned")
+    for q in candidates[1:]:
+        first = next((ell for ell in scan if generates_units_mod_q2(ell, q)), None)
+        if witnesses.get(q) != first:
+            faults.append(f"witness of {q} is {witnesses.get(q)}, not {first}")
+        k = d // (q - 1)
+        if only in (None, q) and factors.get(str(q)) != k + valuation_factorial(k, q):
+            faults.append(f"exponent of {q} is {factors.get(str(q))}")
+    return faults
 
 
 def test_c_d_trivial_dimension():

@@ -12,6 +12,7 @@ import pytest
 
 from monobound import cli
 from test_cli import cli_env
+from test_compat_bounds import certificate_faults, scanned_primes
 from test_package import SUBCOMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -164,6 +165,42 @@ def test_benchmark_oracles_accept_every_answer(monkeypatch, capsys, workload):
         code = cli.main(list(query.argv))
         verdict, reason = oracles.verdict(query.expect, code, capsys.readouterr().out)
         assert verdict == "ok", f"{query.qid} {list(query.argv)}: {reason}"
+
+
+def certified_parts(argv, out):
+    """(certificate, factors, only) per certificate of a JSON answer."""
+    if argv[0] == "cd":
+        return [(out["certificate"], out["value"]["factors"], None)]
+    if argv[0] == "refined":
+        return [(out["certificate"], out["wild_part"]["factors"], out["p"])]
+    return [(cert, f["factors"], None) for cert, f in zip(out["certificates"], out["factors"])]
+
+
+@pytest.mark.parametrize("workload", ["families", "queries"])
+def test_every_workload_certificate_meets_its_definition(monkeypatch, capsys, workload):
+    # every JSON answer of cd, refined and variety-bound at seed 1, checked
+    # against the definitions by an independent sieve, scan and primitive
+    # root test; the same certificate with one witness swapped for the
+    # next scanned prime is refused
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    checked = 0
+    for query in workloads.build(workload, 1):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(query.stdin))
+        code = cli.main(list(query.argv))
+        text = capsys.readouterr().out
+        if query.argv[0] not in ("cd", "refined", "variety-bound") or code != cli.EXIT_OK \
+                or "table" in query.argv:
+            continue
+        for cert, factors, only in certified_parts(query.argv, json.loads(text)):
+            assert certificate_faults(cert, factors, only) == [], query.qid
+            odd = [q for q in cert["witnesses"] if q != "2"]
+            if odd:
+                scan = scanned_primes(cert["excluded_p"], cert["primes_scanned"])
+                swapped = dict(cert["witnesses"])
+                swapped[odd[-1]] = scan[scan.index(swapped[odd[-1]]) + 1]
+                assert certificate_faults(dict(cert, witnesses=swapped), factors, only)
+            checked += 1
+    assert checked >= 16
 
 
 def test_installed_script_is_run():

@@ -4,8 +4,6 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from monobound import numtheory
 from monobound.errors import UndecidedCofactorError, ValidationError
@@ -102,7 +100,7 @@ def test_factorize_rejects_zero():
 
 
 def test_factored_int_examples():
-    assert FactoredInt.from_dict(factorize(48)).as_dict() == {2: 4, 3: 1}
+    assert dict(FactoredInt.from_dict(factorize(48)).factors) == {2: 4, 3: 1}
     assert FactoredInt.from_dict(factorize(1)).value() == 1
 
 
@@ -113,14 +111,6 @@ def test_factored_int_rejects_bad_factors():
         FactoredInt(((2, 0),))  # zero exponent
     with pytest.raises(ValueError):
         FactoredInt(((3, 1), (2, 1)))  # unsorted
-
-
-@given(st.integers(min_value=1, max_value=5_000),
-       st.integers(min_value=1, max_value=5_000))
-@settings(max_examples=50)
-def test_factored_mul(a, b):
-    prod = FactoredInt.from_dict(factorize(a)) * FactoredInt.from_dict(factorize(b))
-    assert prod.value() == a * b
 
 
 def test_totient_sieve_matches_gcd_count():

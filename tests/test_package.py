@@ -154,7 +154,8 @@ FLOAT_NAMES = {"float", "fsum", "floor", "ceil", "sqrt", "exp"}
 
 def test_library_source_holds_no_float():
     # every answer is exact: no float literal, and no name (call, attribute
-    # or import) of a float function, math.log* included
+    # or import) of a float function, math.log* included.  Nor an assert
+    # statement, which python -O strips: invariants raise typed errors.
     found = []
     for path in sorted(Path(monobound.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -164,4 +165,6 @@ def test_library_source_holds_no_float():
             if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
                     or name in FLOAT_NAMES or name.startswith("log")):
                 found.append(f"{path.name}:{node.lineno}: {name or node.value!r}")
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}: assert")
     assert found == []

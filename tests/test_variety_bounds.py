@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from monobound import compat_bounds
@@ -103,6 +105,13 @@ def test_bound_examples():
 
     rep = bound(ELLIPTIC, 7, 1)
     assert rep.product.value() == 48
+
+    # the product of the entries' values: d-vectors not increasing, of the
+    # K3, and with two equal entries
+    for c_1, entries in ((-30, (32, 22)), (-4, (6, 22)), (-20, (22, 22))):
+        rep = bound(VarietyInvariants(n=2, b=(0, 22), c=(c_1,)), 5)
+        assert rep.d_vector.entries == entries
+        assert rep.product.value() == math.prod(f.value() for f in rep.factors)
 
 
 def test_bound_of_zero_vector_is_identity():
