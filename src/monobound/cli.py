@@ -340,14 +340,10 @@ def _scan_depth(args) -> int:
     return DEFAULT_SCAN_DEPTH if args.scan_depth is None else args.scan_depth
 
 
-def _factored(args, f: FactoredInt) -> dict:
-    return factored_to_json(f, args.value_digit_limit)
-
-
 def cmd_cld(args) -> dict:
     from .group_orders import c_ell_d
     return {"ell": args.ell, "d": args.d,
-            "order": _factored(args, c_ell_d(args.ell, args.d))}
+            "order": factored_to_json(c_ell_d(args.ell, args.d), args.value_digit_limit)}
 
 
 def cmd_cd(args) -> dict:
@@ -355,7 +351,7 @@ def cmd_cd(args) -> dict:
     cache = ScanCache(os.environ.get(CACHE_ENV_VAR))
     value, cert, hit = cached_c_d(cache, args.d, args.p, scan_depth)
     out = {"d": args.d, "p": args.p, "scan_depth": scan_depth,
-           "value": _factored(args, value), "certificate": cert}
+           "value": factored_to_json(value, args.value_digit_limit), "certificate": cert}
     if hit:
         out["cached"] = True
     return out
@@ -370,8 +366,8 @@ def cmd_variety_bound(args) -> dict:
         "p": args.p,
         "h": len(report.factors),
         "d_vector": list(report.d_vector.entries),
-        "factors": [_factored(args, f) for f in report.factors],
-        "product": _factored(args, report.product),
+        "factors": [factored_to_json(f, args.value_digit_limit) for f in report.factors],
+        "product": factored_to_json(report.product, args.value_digit_limit),
         "certificates": [cert_to_json(c) for c in report.certificates],
     }
 
@@ -417,7 +413,7 @@ def cmd_refined(args) -> dict:
         "tame_set": list(rb.tame_set),
         "tame_max": rb.tame_max,
         "tame_lcm": rb.tame_lcm,
-        "wild_part": _factored(args, rb.wild_part),
+        "wild_part": factored_to_json(rb.wild_part, args.value_digit_limit),
         "certificate": cert_to_json(rb.certificate),
     }
 

@@ -131,7 +131,7 @@ def factorize(n: int) -> Dict[int, int]:
     UndecidedCofactorError.  A perfect square is split at its root first.
     """
     if n < 1:
-        raise ValueError(f"cannot factor {int_text(n)}; need n >= 1")
+        raise ValidationError(f"cannot factor {int_text(n)}; need n >= 1")
     factors: Dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -176,11 +176,11 @@ class FactoredInt(Record):
         last = 1
         for p, e in self.factors:
             if p <= last:
-                raise ValueError("factors must be sorted by strictly increasing prime")
+                raise ValidationError("factors must be sorted by strictly increasing prime")
             if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise ValidationError(f"{p} is not prime")
             if e < 1:
-                raise ValueError(f"exponent of {p} must be >= 1, got {int_text(e)}")
+                raise ValidationError(f"exponent of {p} must be >= 1, got {int_text(e)}")
             last = p
 
     @classmethod
@@ -219,7 +219,7 @@ def phi_inverse_set(d: int) -> List[int]:
     stays <= d; every node is an answer.
     """
     if d < 1:
-        raise ValueError(f"phi_inverse_set needs d >= 1, got {int_text(d)}")
+        raise ValidationError(f"phi_inverse_set needs d >= 1, got {int_text(d)}")
     rs = primes_upto(d + 1)
     found = []
     stack = [(0, 1, 1)]  # (index of the least usable prime, i, phi(i))
@@ -242,9 +242,9 @@ def phi_inverse_set(d: int) -> List[int]:
 def valuation(n: int, q: int) -> int:
     """Exact q-adic valuation of n >= 1 for a prime q."""
     if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
+        raise ValidationError(f"{q} is not prime")
     if n < 1:
-        raise ValueError(f"valuation needs n >= 1, got {int_text(n)}")
+        raise ValidationError(f"valuation needs n >= 1, got {int_text(n)}")
     v = 0
     while n % q == 0:
         n //= q

@@ -63,7 +63,7 @@ class RationalMatrix(Record):
     def _check(self):
         num, den = self.num, self.den
         if not num or any(len(row) != len(num) for row in num):
-            raise ValueError("matrix must be square and nonempty")
+            raise ValidationError("matrix must be square and nonempty")
         if (type(den) is not int or not den or type(num) is not tuple
                 or not all(type(row) is tuple for row in num)
                 or not all(type(x) is int for row in num for x in row)):
@@ -194,13 +194,6 @@ def is_unipotent(M: RationalMatrix) -> bool:
     return M.char_poly() == [math.comb(d, k) * (-1) ** (d - k) for k in range(d + 1)]
 
 
-def _nonsingular_char_poly(M: RationalMatrix) -> List[Fraction]:
-    char = M.char_poly()
-    if char[0] == 0:
-        raise SingularInputError("matrix is singular")
-    return char
-
-
 def _monic_quotient(a: List[int], b: List[int]) -> Optional[List[int]]:
     """a / b over Z for monic b (low-to-high, len(b) <= len(a)), or None
     when b does not divide a."""
@@ -226,16 +219,20 @@ def _cyclotomic(n: int, known: Dict[int, List[int]]) -> List[int]:
     return spread if m % p == 0 else _monic_quotient(spread, known[m])
 
 
-def _finite_order(char: List[Fraction]) -> Optional[int]:
-    """Common order of the roots of char if all are roots of unity, else None.
+def _finite_order(M: RationalMatrix) -> Optional[int]:
+    """Common order of the eigenvalues of M if all are roots of unity, else
+    None; a singular M raises SingularInputError.
 
-    The roots are roots of unity exactly when char is a product of
+    They are roots of unity exactly when the char poly is a product of
     cyclotomic polynomials Phi_i (Bradford & Davenport 1989), and then
     phi(i) <= deg char for each factor and the order is the lcm of those
     i.  Such a product of monic integer polynomials is integral, so a
     non-integer coefficient answers None at once; otherwise the Phi_i are
     divided out over Z in increasing i.
     """
+    char = M.char_poly()
+    if char[0] == 0:
+        raise SingularInputError("matrix is singular")
     if any(c.denominator != 1 for c in char):
         return None
     rest = [c.numerator for c in char]
@@ -260,7 +257,7 @@ def is_quasi_unipotent(M: RationalMatrix) -> bool:
     Read off the characteristic polynomial: it must be a product of
     cyclotomic polynomials.
     """
-    return _finite_order(_nonsingular_char_poly(M)) is not None
+    return _finite_order(M) is not None
 
 
 def semisimple_order(M: RationalMatrix) -> int:
@@ -270,7 +267,7 @@ def semisimple_order(M: RationalMatrix) -> int:
     lcm of the orders of those roots of unity.  A matrix that is not
     quasi-unipotent raises PreconditionViolatedError.
     """
-    order = _finite_order(_nonsingular_char_poly(M))
+    order = _finite_order(M)
     if order is None:
         raise PreconditionViolatedError(
             "matrix is not quasi-unipotent; no finite-order part exists")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from genmatrices import random_quasi_unipotent
 import monobound
 
-from monobound import chern_invariants, cli
+from monobound import chern_invariants, cli, errors
 from monobound.chern_invariants import FamilySpec, invariants_of
 from monobound.cli import (
     DEFAULT_VALUE_DIGIT_LIMIT,
@@ -34,7 +34,7 @@ from monobound.cli import (
     invariants_to_json,
     main,
 )
-from monobound.compat_bounds import DEFAULT_SCAN_DEPTH, c_d, refined_bound
+from monobound.compat_bounds import DEFAULT_SCAN_DEPTH, ScanCertificate, c_d, refined_bound
 from monobound.numtheory import FactoredInt, factorize
 from monobound.variety_bounds import bound
 
@@ -196,6 +196,46 @@ def test_invariant_violation_exit_code(capsys, tmp_path, monkeypatch):
     assert code == EXIT_INTERNAL == 6
     assert out["error"] == {"type": "InvariantViolationError",
                             "message": "middle Betti number came out negative: -12"}
+
+
+# (exit code, JSON type) per exception class main may meet: every class of
+# monobound.errors, the CLI's own MalformedInputError and a bare ValueError
+ERROR_ANSWERS = {
+    errors.ValidationError: (EXIT_VALIDATION, "ValidationError"),
+    errors.NegativeBettiError: (EXIT_VALIDATION, "NegativeBettiError"),
+    errors.DimensionTooSmallError: (EXIT_VALIDATION, "DimensionTooSmallError"),
+    errors.SingularInputError: (EXIT_VALIDATION, "SingularInputError"),
+    errors.PreconditionViolatedError: (EXIT_VALIDATION, "PreconditionViolatedError"),
+    errors.ZeroTauError: (EXIT_VALIDATION, "ZeroTauError"),
+    errors.NotUnipotentError: (EXIT_VALIDATION, "NotUnipotentError"),
+    errors.NotNilpotentError: (EXIT_VALIDATION, "NotNilpotentError"),
+    errors.UnstableCertificateError: (EXIT_UNSTABLE, "UnstableCertificate"),
+    cli.MalformedInputError: (EXIT_MALFORMED, "MalformedInput"),
+    errors.UndecidedCofactorError: (EXIT_UNDECIDED, "UndecidedCofactor"),
+    errors.InvariantViolationError: (EXIT_INTERNAL, "InvariantViolationError"),
+    ValueError: (EXIT_VALIDATION, "ValueError"),
+}
+RAISED = [cls for cls in vars(errors).values()
+          if isinstance(cls, type) and cls.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("cls", RAISED + [cli.MalformedInputError, ValueError],
+                         ids=lambda cls: cls.__name__)
+def test_every_error_class_reaches_stdout_typed(capsys, monkeypatch, cls):
+    assert cls in ERROR_ANSWERS, f"{cls.__name__} has no expected answer"
+    cert = ScanCertificate(2, None, 2, ((2, 3), (3, None)), False)
+    exc = (cls(1, -2) if cls is errors.NegativeBettiError
+           else cls(cert) if cls is errors.UnstableCertificateError else cls("boom"))
+
+    def raise_exc(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_cld", raise_exc)
+    code, out = run_cli(capsys, "cld", "--ell", "3", "--d", "2")
+    assert (code, out["error"]["type"]) == ERROR_ANSWERS[cls]
+    assert out["error"]["message"] == str(exc)
+    if cls is errors.UnstableCertificateError:
+        assert out["error"]["certificate"] == cert_to_json(cert)
 
 
 def test_cd_unstable_exit_code(capsys):
@@ -1224,7 +1264,9 @@ def test_every_payload_gets_an_answer_or_a_typed_error(cli_input):
         assert "error" not in out
     else:
         assert list(out) == ["error"]
-        assert isinstance(out["error"]["type"], str)
+        # the library refuses bad input with a ValidationError subclass, so
+        # a bare ValueError reaching main is a defect
+        assert isinstance(out["error"]["type"], str) and out["error"]["type"] != "ValueError"
         assert isinstance(out["error"]["message"], str)
 
 

@@ -335,11 +335,11 @@ def test_witness_is_a_primitive_root_mod_q_squared():
 
 
 def test_scan_depth_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         c_d(2, 7, scan_depth=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         c_d(2, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         c_d(-1, 7)
 
 
@@ -437,7 +437,7 @@ def test_the_order_of_a_finite_order_part_divides_tame_lcm_and_c_d():
 
 
 def test_refined_bound_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         refined_bound(0, 5)
 
 

@@ -1,5 +1,6 @@
 """The process entry `cli.run`: the exit-time freeze, and the installed script."""
 
+import functools
 import gc
 import io
 import json
@@ -67,7 +68,7 @@ def test_main_never_freezes(capsys):
 CUBIC = json.dumps({"family": {"kind": "hypersurface", "n": 511, "degrees": [3]}})
 
 # Cases beside SUBCOMMANDS, as (argv, stdin, exit code, error type).  Each
-# process ends within the 10 s timeout of test_process_output_is_mains_output.
+# process ends within the 10 s timeout of plain_run.
 ANSWERS = [
     # one Chern series per family
     pytest.param(["invariants"], CUBIC, cli.EXIT_OK, None, id="invariants-n511"),
@@ -103,19 +104,29 @@ CASES = pytest.mark.parametrize(
      for argv, stdin in SUBCOMMANDS] + ANSWERS + ERRORS)
 
 
+@functools.lru_cache(maxsize=None)
+def plain_run(argv, stdin):
+    """`python -m monobound.cli` run once per (argv, stdin) and shared by the
+    tests that compare against it: its exit code and stdout, with no cache
+    file whatever the calling test's environment."""
+    env = cli_env()
+    env.pop(cli.CACHE_ENV_VAR, None)
+    proc = subprocess.run([sys.executable, "-m", "monobound.cli", *argv],
+                          input=stdin.encode(), capture_output=True, env=env, timeout=10)
+    return proc.returncode, proc.stdout
+
+
 @CASES
 def test_process_output_is_mains_output(monkeypatch, capsys, argv, stdin, exit_code,
                                         error_type):
     monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
-    proc = subprocess.run([sys.executable, "-m", "monobound.cli", *argv],
-                          input=stdin.encode(), capture_output=True,
-                          env=cli_env(), timeout=10)
+    returncode, stdout = plain_run(tuple(argv), stdin)
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = cli.main(argv)
-    assert proc.returncode == code == exit_code
-    assert proc.stdout == capsys.readouterr().out.encode()
+    assert returncode == code == exit_code
+    assert stdout == capsys.readouterr().out.encode()
     if error_type:
-        assert json.loads(proc.stdout)["error"]["type"] == error_type
+        assert json.loads(stdout)["error"]["type"] == error_type
 
 
 @CASES
@@ -125,12 +136,11 @@ def test_benchmark_tracer_keeps_output_and_exit_code(monkeypatch, tmp_path,
     # every traced query exit 1
     monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
     spans = tmp_path / "spans.json"
-    plain, traced = (
-        subprocess.run([sys.executable, *entry, *argv], input=stdin.encode(),
-                       capture_output=True, env=cli_env(), timeout=60)
-        for entry in (["-m", "monobound.cli"], [str(TRACED_CLI), str(spans), "q1"]))
-    assert traced.returncode == plain.returncode == exit_code
-    assert traced.stdout == plain.stdout
+    traced = subprocess.run([sys.executable, str(TRACED_CLI), str(spans), "q1", *argv],
+                            input=stdin.encode(), capture_output=True, env=cli_env(),
+                            timeout=60)
+    assert (traced.returncode, traced.stdout) == plain_run(tuple(argv), stdin)
+    assert traced.returncode == exit_code
     names = {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert "cli.main" in names and (argv[0] != "cd" or "cli.cached_c_d" in names)
 

@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
-from monobound.errors import UndecidedCofactorError
+from monobound.errors import UndecidedCofactorError, ValidationError
 from monobound.group_orders import c_ell_d, c_ell_d_int, order_gl_fq, order_gl_z4
 
 # independent oracle: count invertible matrices by full enumeration; a
@@ -93,9 +93,9 @@ def test_c_ell_d_beyond_the_primality_range():
 
 
 def test_c_ell_d_rejects_composite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         c_ell_d(4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         order_gl_fq(3, -1)
 
 

@@ -95,7 +95,7 @@ def test_factorize_refuses_undecided_cofactors(monkeypatch):
 
 
 def test_factorize_rejects_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         factorize(0)
 
 
@@ -105,11 +105,11 @@ def test_factored_int_examples():
 
 
 def test_factored_int_rejects_bad_factors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         FactoredInt(((4, 1),))  # 4 is not prime
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         FactoredInt(((2, 0),))  # zero exponent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         FactoredInt(((3, 1), (2, 1)))  # unsorted
 
 
@@ -155,9 +155,9 @@ def test_valuation():
     assert valuation(48, 5) == 0
     assert valuation(96, 3) == 1
     assert FactoredInt.from_dict(factorize(96)).valuation(2) == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         valuation(0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         valuation(10, 4)
 
 

@@ -83,20 +83,6 @@ SUBCOMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv, stdin", SUBCOMMANDS,
-                         ids=[argv[0] for argv, _ in SUBCOMMANDS])
-def test_no_subcommand_loads_dataclasses(argv, stdin):
-    # the records are slotted classes, not dataclasses; `site` may load
-    # dataclasses itself in some environments, which is not the CLI's cost
-    body = ("preloaded = 'dataclasses' in sys.modules\n"
-            "from monobound.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main({argv!r}) == 0\n"
-            "assert preloaded or 'dataclasses' not in sys.modules, "
-            "'dataclasses was loaded'")
-    assert "monobound.numtheory" in loaded_modules(body, stdin)
-
-
 def test_public_names_are_their_submodule_attributes():
     assert len(monobound.__all__) == len(set(monobound.__all__))
     for name in monobound.__all__:
@@ -132,18 +118,21 @@ def test_submodules_still_import_from_the_package():
 def test_no_subcommand_loads_hashlib(argv, stdin, cache, tmp_path):
     # hashlib loads OpenSSL; the scan cache keys entries by plain text and
     # checks them by CRC-32.  With a cache file each command runs twice, so
-    # that cd stores on a miss and then reads a hit.
+    # that cd stores on a miss and then reads a hit.  Nor is dataclasses
+    # loaded: the records are slotted classes.  `site` may load either
+    # itself in some environments, which is not the CLI's cost.
     env = (f"os.environ['MONOBOUND_CACHE'] = {str(tmp_path / 'scan.cache')!r}"
            if cache else "os.environ.pop('MONOBOUND_CACHE', None)")
     body = ("import os\n"
             f"{env}\n"
-            "preloaded = 'hashlib' in sys.modules\n"
+            "preloaded = {m for m in ('hashlib', 'dataclasses') if m in sys.modules}\n"
             "from monobound.cli import main\n"
             f"for _ in range({1 + cache}):\n"
             f"    sys.stdin = io.StringIO({stdin!r})\n"
             "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
             f"        assert main({argv!r}) == 0\n"
-            "    assert preloaded or 'hashlib' not in sys.modules, 'hashlib was loaded'\n"
+            "    for m in ('hashlib', 'dataclasses'):\n"
+            "        assert m in preloaded or m not in sys.modules, f'{m} was loaded'\n"
             f"assert ('\"cached\": true' in out.getvalue()) is {cache and argv[0] == 'cd'}")
     assert "monobound.numtheory" in loaded_modules(body)
 
@@ -154,8 +143,10 @@ FLOAT_NAMES = {"float", "fsum", "floor", "ceil", "sqrt", "exp"}
 
 def test_library_source_holds_no_float():
     # every answer is exact: no float literal, and no name (call, attribute
-    # or import) of a float function, math.log* included.  Nor an assert
-    # statement, which python -O strips: invariants raise typed errors.
+    # or import) of a float function, math.log* included.  Nor anything
+    # that python -O changes: an assert statement (stripped; invariants
+    # raise typed errors), the name __debug__ or a read of sys.flags.  So
+    # the library runs the same with and without -O.
     found = []
     for path in sorted(Path(monobound.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -163,8 +154,14 @@ def test_library_source_holds_no_float():
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias) else "")
             if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
-                    or name in FLOAT_NAMES or name.startswith("log")):
+                    or name in FLOAT_NAMES or name.startswith("log")
+                    or name == "__debug__"):
                 found.append(f"{path.name}:{node.lineno}: {name or node.value!r}")
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}: assert")
+            if (isinstance(node, ast.Attribute) and node.attr == "flags"
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"
+                    or isinstance(node, ast.ImportFrom) and node.module == "sys"
+                    and any(alias.name == "flags" for alias in node.names)):
+                found.append(f"{path.name}:{node.lineno}: sys.flags")
     assert found == []

@@ -99,11 +99,11 @@ def test_dataclass_style_repr():
 
 
 def test_validation_runs_on_every_construction():
-    with pytest.raises(ValueError, match="4 is not prime"):
+    with pytest.raises(ValidationError, match="4 is not prime"):
         FactoredInt(((4, 1),))
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValidationError, match="strictly increasing"):
         FactoredInt(factors=((3, 1), (2, 1)))
-    with pytest.raises(ValueError, match="square"):
+    with pytest.raises(ValidationError, match="square"):
         RationalMatrix(((Fraction(1), Fraction(2)),))
     with pytest.raises(ValidationError, match="expected 2 Betti entries"):
         VarietyInvariants(2, (22,), (-4,))

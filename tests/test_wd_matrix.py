@@ -49,7 +49,7 @@ def test_matrix_basics():
     assert RM([[2, 0], [0, 3]]).char_poly() == [6, -5, 1]
     assert RM([[1, 2], [3, 4]]).char_poly() == \
         [Fraction(-2), Fraction(-5), Fraction(1)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         RM([[1, 2]])
 
 
