@@ -35,6 +35,11 @@ class NegativeBettiError(ValidationError):
         super().__init__(f"derived Betti entry d_{index} = {int_text(value)} is negative")
 
 
+class NonGeometricInvariantsError(ValidationError):
+    """Betti numbers or derived entries that no smooth projective variety
+    has: the message names the first necessary condition that fails."""
+
+
 class DimensionTooSmallError(ValidationError):
     """Hyperplane descent requested on a curve (dimension 1)."""
 

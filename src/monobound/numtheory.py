@@ -90,8 +90,6 @@ def _pollard_rho(n: int, max_steps: Optional[int] = None) -> Optional[int]:
     Returns None once more than max_steps iterations of the map have run
     without a split (never, when max_steps is None).
     """
-    if n % 2 == 0:
-        return 2
     c, m, steps = 1, 128, 0
     while True:
         y, r, q, g = 2, 1, 1, 1

@@ -11,11 +11,12 @@ entries untouched).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ._record import Record
 from .compat_bounds import DEFAULT_SCAN_DEPTH, ScanCertificate, c_ds
-from .errors import DimensionTooSmallError, NegativeBettiError, ValidationError, int_text
+from .errors import (DimensionTooSmallError, NegativeBettiError, NonGeometricInvariantsError,
+                     ValidationError, int_text)
 from .numtheory import FactoredInt
 
 
@@ -64,7 +65,8 @@ def d_vector(inv: VarietyInvariants) -> DVector:
 
     d_j = (-1)^j (c_{n-j} - 2 sum_{i=0}^{j-1} (-1)^i b_i) for j < n, with
     b_0 = 1, and d_n = b_n.  A negative entry is a hard validation error:
-    for geometric input each entry is an actual Betti number.
+    for geometric input each entry is an actual Betti number.  Then the
+    entries and b must pass `_refuse_non_geometric`.
     """
     full_b = (1,) + inv.b
     entries = []
@@ -76,7 +78,44 @@ def d_vector(inv: VarietyInvariants) -> DVector:
             raise NegativeBettiError(j, d_j)
         entries.append(d_j)
     entries.append(inv.b[-1])
+    _refuse_non_geometric(full_b, entries)
     return DVector(tuple(entries))
+
+
+def _refuse_non_geometric(full_b: Tuple[int, ...], entries: List[int]) -> None:
+    """NonGeometricInvariantsError at the first necessary condition that fails.
+
+    For a smooth projective X of dimension n, in any characteristic, with
+    b_0 = 1 and d_j the middle Betti number of a smooth j-dimensional
+    iterated hyperplane section:
+    1. b_i is even for odd i: Poincare duality and hard Lefschetz make
+       x, y -> x y h^(n-i) a nondegenerate alternating form on H^i;
+    2. b_(i-2) <= b_i for 2 <= i <= n: h maps H^(i-2) into H^i injectively
+       (hard Lefschetz; Deligne, Weil II, Publ. Math. IHES 52, 1980);
+    3. d_j is even for odd j: condition 1 on the section;
+    4. d_j >= b_j for j < n: H^j(X) injects into H^j of the section (weak
+       Lefschetz, from Artin vanishing; SGA 4, XIV).
+    """
+    n = len(entries)
+    for i in range(1, n + 1, 2):
+        if full_b[i] % 2:
+            raise NonGeometricInvariantsError(
+                f"b_{i} = {int_text(full_b[i])} is odd; odd-degree Betti numbers are even")
+    for i in range(2, n + 1):
+        if full_b[i - 2] > full_b[i]:
+            raise NonGeometricInvariantsError(
+                f"b_{i - 2} = {int_text(full_b[i - 2])} > b_{i} = {int_text(full_b[i])}; "
+                f"hard Lefschetz needs b_(i-2) <= b_i for 2 <= i <= n")
+    for j in range(1, n + 1, 2):
+        if entries[j - 1] % 2:
+            raise NonGeometricInvariantsError(
+                f"d_{j} = {int_text(entries[j - 1])} is odd; a section's odd-degree "
+                f"Betti numbers are even")
+    for j in range(1, n):
+        if entries[j - 1] < full_b[j]:
+            raise NonGeometricInvariantsError(
+                f"d_{j} = {int_text(entries[j - 1])} < b_{j} = {int_text(full_b[j])}; "
+                f"weak Lefschetz needs d_j >= b_j for j < n")
 
 
 def bound(inv: VarietyInvariants, p: int, h: Optional[int] = None,

@@ -40,6 +40,7 @@ from .errors import (
     SingularInputError,
     ValidationError,
     ZeroTauError,
+    int_text,
 )
 from .numtheory import phi_inverse_set
 
@@ -109,14 +110,12 @@ class RationalMatrix(Record):
 
     def power(self, e: int) -> "RationalMatrix":
         if e < 0:
-            return self.inverse().power(-e)
-        result = RationalMatrix.identity(self.dim)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+            raise ValidationError(f"power needs e >= 0, got {int_text(e)}")
+        result = self if e else RationalMatrix.identity(self.dim)
+        for bit in bin(e)[3:]:  # left to right after the leading 1: square, then times self
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def trace(self) -> Fraction:

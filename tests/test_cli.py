@@ -203,6 +203,7 @@ def test_invariant_violation_exit_code(capsys, tmp_path, monkeypatch):
 ERROR_ANSWERS = {
     errors.ValidationError: (EXIT_VALIDATION, "ValidationError"),
     errors.NegativeBettiError: (EXIT_VALIDATION, "NegativeBettiError"),
+    errors.NonGeometricInvariantsError: (EXIT_VALIDATION, "NonGeometricInvariantsError"),
     errors.DimensionTooSmallError: (EXIT_VALIDATION, "DimensionTooSmallError"),
     errors.SingularInputError: (EXIT_VALIDATION, "SingularInputError"),
     errors.PreconditionViolatedError: (EXIT_VALIDATION, "PreconditionViolatedError"),
@@ -288,6 +289,21 @@ def test_variety_bound_negative_betti_exit_code(capsys, tmp_path):
     code, out = run_cli(capsys, "variety-bound", "--input", path, "--p", "5")
     assert code == EXIT_VALIDATION
     assert out["error"]["type"] == "NegativeBettiError"
+
+
+@pytest.mark.parametrize("invariants, failed", [
+    ({"n": 2, "b": [0, 22], "c": [-3]}, "d_1 = 5 is odd"),
+    ({"n": 2, "b": [1, 22], "c": [-4]}, "b_1 = 1 is odd"),
+    ({"n": 2, "b": [0, 0], "c": [2]}, "b_0 = 1 > b_2 = 0"),
+], ids=["odd-d_1", "odd-b_1", "b_2-below-b_0"])
+@pytest.mark.parametrize("argv", [("variety-bound", "--p", "5"), ("descend",)],
+                         ids=["variety-bound", "descend"])
+def test_non_geometric_invariants_exit_code(capsys, tmp_path, invariants, failed, argv):
+    path = write_input(tmp_path, {"invariants": invariants})
+    code, out = run_cli(capsys, *argv, "--input", path)
+    assert code == EXIT_VALIDATION
+    assert out["error"]["type"] == "NonGeometricInvariantsError"
+    assert out["error"]["message"].startswith(failed)
 
 
 def test_malformed_input_exit_code(capsys, tmp_path):

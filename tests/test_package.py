@@ -25,7 +25,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "monobound"
 def loaded_modules(body, stdin=""):
     proc = subprocess.run([sys.executable, "-c", PROBE.format(body=body)],
                           input=stdin, capture_output=True, text=True,
-                          env=cli_env(), timeout=60, check=True)
+                          env=cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr  # the probe's own assertion message
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 

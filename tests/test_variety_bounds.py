@@ -1,6 +1,9 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monobound import compat_bounds
 from monobound.chern_invariants import FamilySpec, invariants_of
@@ -8,6 +11,7 @@ from monobound.group_orders import c_ell_d
 from monobound.errors import (
     DimensionTooSmallError,
     NegativeBettiError,
+    NonGeometricInvariantsError,
     UnstableCertificateError,
     ValidationError,
 )
@@ -62,11 +66,66 @@ def test_d_vector_independent_rederivation():
 
 
 def test_negative_betti_rejected():
-    bad = VarietyInvariants(n=2, b=(0, 1), c=(5,))
+    # b_1 = 1 is odd too, but the negative entry is refused first
+    bad = VarietyInvariants(n=2, b=(1, 1), c=(5,))
     with pytest.raises(NegativeBettiError) as info:
         d_vector(bad)
     assert info.value.index == 1
     assert info.value.value == -3
+
+
+@pytest.mark.parametrize("b, c, message", [
+    ((1, 22), (-4,), "b_1 = 1 is odd"),  # condition 1
+    ((0, 0), (2,), "b_0 = 1 > b_2 = 0"),  # 2: no ample class
+    ((0, 22), (-3,), "d_1 = 5 is odd"),  # 3
+    ((2, 22), (2,), "d_1 = 0 < b_1 = 2"),  # 4
+])
+def test_non_geometric_invariants_rejected(b, c, message):
+    inv = VarietyInvariants(n=2, b=b, c=c)
+    for call in (d_vector, descend, lambda inv: bound(inv, 5)):
+        with pytest.raises(NonGeometricInvariantsError, match=message):
+            call(inv)
+
+
+def test_every_built_family_passes_the_geometric_conditions():
+    # P^1..P^8 and every complete intersection of one to three degrees
+    # <= 6 with n <= 6: 506 families of actual smooth projective varieties
+    specs = [FamilySpec("projective_space", n) for n in range(1, 9)]
+    specs += [FamilySpec("complete_intersection", n, degrees) for n in range(1, 7)
+              for k in (1, 2, 3)
+              for degrees in itertools.combinations_with_replacement(range(1, 7), k)]
+    assert len(specs) == 506
+    for spec in specs:
+        inv = invariants_of(spec)
+        d_vector(inv)
+        if inv.n > 1:
+            descend(inv)
+
+
+@st.composite
+def geometric_invariants(draw):
+    """Invariants built to meet the four conditions: b in steps of even
+    size in odd degree, each d_j at least b_j and even for odd j, and c
+    solved from d_j = (-1)^j (c_(n-j) - 2 sum_(i<j) (-1)^i b_i)."""
+    n = draw(st.integers(1, 6))
+    full_b = [1]
+    for i in range(1, n + 1):
+        step = draw(st.integers(0, 20)) * (2 if i % 2 else 1)
+        full_b.append(step if i == 1 else full_b[i - 2] + step)
+    c = [0] * (n - 1)
+    for j in range(1, n):
+        d_j = full_b[j] + draw(st.integers(0, 20)) * (2 if j % 2 else 1)
+        c[n - j - 1] = (-1) ** j * d_j + 2 * sum((-1) ** i * full_b[i] for i in range(j))
+    return VarietyInvariants(n=n, b=tuple(full_b[1:]), c=tuple(c))
+
+
+@given(geometric_invariants())
+@settings(max_examples=200, deadline=None)
+def test_descent_of_geometric_invariants_stays_geometric(inv):
+    d_vector(inv)
+    while inv.n > 1:
+        inv = descend(inv)
+        d_vector(inv)
 
 
 def test_descend_examples():

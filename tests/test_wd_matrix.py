@@ -51,6 +51,24 @@ def test_matrix_basics():
         [Fraction(-2), Fraction(-5), Fraction(1)]
     with pytest.raises(ValidationError):
         RM([[1, 2]])
+    with pytest.raises(ValidationError, match="e >= 0"):
+        ROTATION.power(-1)
+
+
+def test_power_multiplies_left_to_right_without_a_wasted_product(monkeypatch):
+    # square per bit after the leading one, times M per further 1 bit; a
+    # right-to-left loop from the identity makes two products more
+    M = RM([[1, 1], [0, 1]])
+    multiply, calls = RationalMatrix.__mul__, []
+
+    def counting(A, B):
+        calls.append(1)
+        return multiply(A, B)
+    monkeypatch.setattr(RationalMatrix, "__mul__", counting)
+    for e in range(1, 65):
+        calls.clear()
+        assert M.power(e) == RM([[1, e], [0, 1]])
+        assert len(calls) == (e.bit_length() - 1) + (bin(e).count("1") - 1), e
 
 
 def test_inverse():
@@ -518,8 +536,8 @@ def test_integer_arithmetic_matches_fraction_reference():
             negative_det += det < 0
             inverse = A.inverse()
             assert fraction_product(A, inverse) == RationalMatrix.identity(d)
-            assert fraction_product(A.power(2), A.power(-2)) == RationalMatrix.identity(d)
-            results += [inverse, A.power(-3)]
+            assert fraction_product(A.power(2), inverse.power(2)) == RationalMatrix.identity(d)
+            results += [inverse, inverse.power(3)]
         assert all(_in_lowest_terms(R) and RM(R.rows) == R for R in results)
     assert negative_det > 20
     # log and exp on conjugated strictly upper triangular rational matrices
