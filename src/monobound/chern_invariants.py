@@ -49,6 +49,11 @@ class FamilySpec(Record):
     degrees: Tuple[int, ...] = ()
 
     def _check(self):
+        # ints, not bools or floats, so that every answer stays exact
+        if (type(self.kind) is not str or type(self.n) is not int
+                or type(self.degrees) is not tuple
+                or not all(type(x) is int for x in self.degrees)):
+            raise ValidationError("a family needs a str kind, an int n and a tuple of int degrees")
         if self.n < 1:
             raise ValidationError(f"dimension must be >= 1, got {int_text(self.n)}")
         if self.kind == PROJECTIVE_SPACE:

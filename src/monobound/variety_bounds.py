@@ -32,6 +32,10 @@ class VarietyInvariants(Record):
     c: Tuple[int, ...]
 
     def _check(self):
+        # ints, not bools or floats, so that every answer stays exact
+        if type(self.n) is not int or not all(
+                type(v) is tuple and all(type(x) is int for x in v) for v in (self.b, self.c)):
+            raise ValidationError("invariants need an int n and tuples of ints b and c")
         if self.n < 1:
             raise ValidationError(f"dimension must be >= 1, got {int_text(self.n)}")
         if len(self.b) != self.n:

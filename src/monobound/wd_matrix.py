@@ -101,6 +101,8 @@ class RationalMatrix(Record):
         return _combination(((1, self), (-1, other)))
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if other.dim != self.dim:
+            raise _size_error(self, other)
         cols = list(zip(*other.num))
         return RationalMatrix(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
                                     for row in self.num), self.den * other.den)
@@ -176,10 +178,19 @@ class RationalMatrix(Record):
         return [Fraction(a, self.den ** (d - k)) for k, a in enumerate(reversed(high))]
 
 
+def _size_error(A: RationalMatrix, B: RationalMatrix) -> ValidationError:
+    return ValidationError(f"matrix sizes differ: {A.dim}x{A.dim} and {B.dim}x{B.dim}")
+
+
 def _combination(terms) -> RationalMatrix:
     """sum c * M over the (c, M) pairs, c an int or a Fraction: one integer
-    dot product per entry over the lcm of the c.denominator * M.den."""
+    dot product per entry over the lcm of the c.denominator * M.den.  The
+    M must share one size; zip would silently truncate to the smallest."""
     terms = list(terms)
+    first = terms[0][1]
+    for _, M in terms:
+        if M.dim != first.dim:
+            raise _size_error(first, M)
     den = math.lcm(*(c.denominator * M.den for c, M in terms))
     factors = [c.numerator * (den // (c.denominator * M.den)) for c, M in terms]
     return RationalMatrix(tuple(

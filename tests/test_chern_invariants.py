@@ -63,6 +63,19 @@ def test_family_validation():
         projective_space(0)
 
 
+@pytest.mark.parametrize("kind, n, degrees", [
+    ("hypersurface", 2, (4.0,)),  # invariants_of would answer c = (-4.0,)
+    ("hypersurface", 2, (True,)),
+    ("projective_space", 2.0, ()),
+    ("projective_space", True, ()),
+    ("complete_intersection", 2, [2, 2]),
+    (b"hypersurface", 2, (4,)),
+], ids=["float-degree", "bool-degree", "float-n", "bool-n", "list-degrees", "bytes-kind"])
+def test_family_takes_a_str_kind_and_ints_only(kind, n, degrees):
+    with pytest.raises(ValidationError, match="str kind, an int n"):
+        FamilySpec(kind, n, degrees)
+
+
 def test_tangent_chern_series_examples():
     assert chern_total_dual_cotangent(projective_space(2)) == (1, 3, 3)
     assert chern_total_dual_cotangent(hypersurface(2, 4)) == (1, 0, 6)

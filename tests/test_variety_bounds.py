@@ -47,6 +47,18 @@ def test_shape_validation():
         VarietyInvariants(n=0, b=(), c=())
 
 
+@pytest.mark.parametrize("n, b, c", [
+    (2, (0, 22.0), (-30,)),  # bound() would answer float exponents such as 52.0
+    (2, (0, 22), (-4.0,)),
+    (True, (0,), ()),
+    (2, [0, 22], (-4,)),
+    (2.0, (0, 22), (-4,)),
+], ids=["float-betti", "float-c", "bool-n", "list-b", "float-n"])
+def test_invariants_take_tuples_of_ints_only(n, b, c):
+    with pytest.raises(ValidationError, match="int n and tuples of ints"):
+        VarietyInvariants(n=n, b=b, c=c)
+
+
 def test_d_vector_examples():
     assert d_vector(P2).entries == (0, 1)
     assert d_vector(K3_QUARTIC).entries == (6, 22)

@@ -492,6 +492,17 @@ def test_the_constructor_refuses_list_rows():
     assert hash(RM([[1, 2], [3, 4]])) == hash(RationalMatrix(((1, 2), (3, 4))))
 
 
+def test_matrices_of_different_sizes_are_refused():
+    # zip stops at the shorter rows, so A - B would answer a 2x2 matrix
+    A, B = RationalMatrix.identity(3), RationalMatrix.identity(2)
+    with pytest.raises(ValidationError, match="3x3 and 2x2"):
+        A - B
+    with pytest.raises(ValidationError, match="3x3 and 2x2"):
+        A * B
+    with pytest.raises(ValidationError, match="2x2 and 3x3"):
+        B * A
+
+
 def _in_lowest_terms(M):
     return M.den >= 1 and math.gcd(M.den, *(x for row in M.num for x in row)) == 1
 
